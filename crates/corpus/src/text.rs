@@ -51,6 +51,8 @@ pub struct TextGenerator {
     vocab: Vec<String>,
     zipf: Zipf,
     params: TextParams,
+    /// Corpus seed: fixes the word forms and each file's word stream.
+    seed: u64,
 }
 
 impl TextGenerator {
@@ -72,48 +74,76 @@ impl TextGenerator {
             vocab,
             zipf,
             params,
+            seed,
         }
     }
 
     /// Generate one sentence with mean length scaled by `complexity`.
     pub fn sentence(&self, rng: &mut impl Rng, complexity: f64) -> String {
+        let mut s = String::new();
+        self.push_sentence(rng, complexity, &mut s, usize::MAX);
+        s
+    }
+
+    /// Append one sentence to `out`, drawing no more words once `out`
+    /// holds `limit` bytes. Up to that point the bytes are exactly those
+    /// of [`TextGenerator::sentence`].
+    fn push_sentence(&self, rng: &mut impl Rng, complexity: f64, out: &mut String, limit: usize) {
         let len_dist = Normal::new(
             self.params.mean_sentence_len * complexity.max(0.1),
             self.params.sd_sentence_len,
         );
         let len = len_dist.sample_f64(rng).round().max(1.0) as usize;
-        let mut s = String::new();
         for w in 0..len {
+            if out.len() >= limit {
+                break;
+            }
             let word = &self.vocab[self.zipf.sample_rank(rng)];
             if w == 0 {
                 let mut cs = word.chars();
                 if let Some(first) = cs.next() {
-                    s.extend(first.to_uppercase());
-                    s.push_str(cs.as_str());
+                    out.extend(first.to_uppercase());
+                    out.push_str(cs.as_str());
                 }
             } else {
-                s.push(' ');
-                s.push_str(word);
+                out.push(' ');
+                out.push_str(word);
             }
         }
-        s.push('.');
-        s
+        out.push('.');
     }
 
     /// Generate exactly `bytes` of text (sentences separated by spaces,
-    /// truncated/padded at the end).
+    /// the last one cut at the byte budget). Words are drawn only until the
+    /// budget is reached, so any `complexity` finishes in `O(bytes)`.
     pub fn text(&self, rng: &mut impl Rng, complexity: f64, bytes: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(bytes + 64);
+        let mut out = String::with_capacity(bytes + 64);
         while out.len() < bytes {
             if !out.is_empty() {
-                out.push(b' ');
+                out.push(' ');
             }
-            out.extend_from_slice(self.sentence(rng, complexity).as_bytes());
+            self.push_sentence(rng, complexity, &mut out, bytes);
         }
+        // Cut the bytes, not the string: the vocabulary is ASCII, so no
+        // character is split.
+        let mut out = out.into_bytes();
         out.truncate(bytes);
-        // Keep the tail harmless: replace a possibly cut multi-byte char
-        // (our vocabulary is ASCII, so truncation is already safe).
         out
+    }
+
+    /// The plain-text bytes of `file`: exactly `file.size` bytes, unique
+    /// per (generator seed, file id).
+    pub fn file_text(&self, file: &FileSpec) -> Vec<u8> {
+        self.text(
+            &mut self.file_rng(file),
+            file.complexity,
+            file.size as usize,
+        )
+    }
+
+    /// The word stream of one file, derived from the corpus seed and id.
+    fn file_rng(&self, file: &FileSpec) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ file.id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Generate `n` whole words (for word-count-matched texts like the
@@ -136,10 +166,10 @@ impl TextGenerator {
 
 /// Materialize the plain-text bytes of `file` from a corpus `seed`. The
 /// stream is unique per (seed, id) and has exactly `file.size` bytes.
+/// Builds the generator for one file; to materialize many files, build one
+/// [`TextGenerator`] and call [`TextGenerator::file_text`].
 pub fn text_bytes(seed: u64, file: &FileSpec) -> Vec<u8> {
-    let generator = TextGenerator::new(TextParams::default(), seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ file.id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    generator.text(&mut rng, file.complexity, file.size as usize)
+    TextGenerator::new(TextParams::default(), seed).file_text(file)
 }
 
 /// Materialize HTML bytes: the text wrapped in a minimal article skeleton,
@@ -156,10 +186,9 @@ pub fn html_bytes(seed: u64, file: &FileSpec) -> Vec<u8> {
     }
     let body = size - HEAD.len() - TAIL.len();
     let generator = TextGenerator::new(TextParams::default(), seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ file.id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut out = Vec::with_capacity(size);
     out.extend_from_slice(HEAD);
-    out.extend_from_slice(&generator.text(&mut rng, file.complexity, body));
+    out.extend_from_slice(&generator.text(&mut generator.file_rng(file), file.complexity, body));
     out.extend_from_slice(TAIL);
     out
 }
@@ -222,6 +251,69 @@ mod tests {
         let t = generator.words(&mut rng, 1.0, 500);
         let n = t.split_whitespace().count();
         assert!((500..560).contains(&n), "{n}");
+    }
+
+    #[test]
+    fn text_bytes_is_one_file_of_a_shared_generator() {
+        for seed in [0, 7, 42, u64::MAX] {
+            let generator = TextGenerator::new(TextParams::default(), seed);
+            for (id, size, complexity) in
+                [(0, 0, 1.0), (1, 1, 1.0), (7, 500, 0.7), (99, 4_321, 1.6)]
+            {
+                let f = FileSpec {
+                    id,
+                    size,
+                    complexity,
+                };
+                assert_eq!(
+                    text_bytes(seed, &f),
+                    generator.file_text(&f),
+                    "seed {seed} id {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unbounded_complexity_stops_at_the_byte_budget() {
+        let f = FileSpec {
+            id: 3,
+            size: 100,
+            complexity: f64::INFINITY,
+        };
+        assert_eq!(text_bytes(42, &f).len(), 100);
+    }
+
+    #[test]
+    fn text_equals_whole_sentences_cut_to_size() {
+        // The generator before it stopped drawing at the byte budget:
+        // whole sentences, then one truncation.
+        let whole_sentences =
+            |generator: &TextGenerator, rng: &mut StdRng, c: f64, bytes: usize| {
+                let mut out = Vec::new();
+                while out.len() < bytes {
+                    if !out.is_empty() {
+                        out.push(b' ');
+                    }
+                    out.extend_from_slice(generator.sentence(rng, c).as_bytes());
+                }
+                out.truncate(bytes);
+                out
+            };
+        let generator = TextGenerator::new(TextParams::default(), 9);
+        for complexity in [0.5f64, 1.0, 1.6, 50.0] {
+            for bytes in [0, 1, 99, 5_000] {
+                let seed = bytes as u64 ^ complexity.to_bits();
+                let fast = generator.text(&mut StdRng::seed_from_u64(seed), complexity, bytes);
+                let slow = whole_sentences(
+                    &generator,
+                    &mut StdRng::seed_from_u64(seed),
+                    complexity,
+                    bytes,
+                );
+                assert_eq!(fast, slow, "complexity {complexity}, {bytes} bytes");
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::executor::{
 };
 use crate::plan::Plan;
 use crate::strategy::{make_plan, Strategy};
-use corpus::FileSpec;
+use corpus::{FileSpec, TextGenerator, TextParams};
 use ec2sim::{
     AvailabilityZone, BackendParams, Cloud, CloudError, DataLocation, InstanceId, SharingBackend,
     TransferEngine, TransferRequest,
@@ -55,7 +55,9 @@ use perfmodel::{adjusted_deadline, adjustment_factor, try_fit, Fit, ModelKind, R
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use textapps::aggregate::{merge_partials, oracle, partial_bytes, partition_partial, render};
+use textapps::aggregate::{
+    map_document_into, merge_partials, partial_bytes, partition_partial, render,
+};
 use textapps::{AggKind, Partial, TokenizeCostModel};
 
 /// Everything a distributed aggregation needs beyond the compute plan.
@@ -270,25 +272,50 @@ impl From<CloudError> for ShuffleError {
 }
 
 /// Every map bin's corpus-wide partial — a pure function of the corpus
-/// seed and the bin contents, shared by the planner (movement sizes) and
-/// the executor (shuffle payloads).
+/// seed and the bin contents. One text generator serves the whole pass,
+/// and each file's terms are counted straight into its bin's partial;
+/// [`textapps::aggregate::oracle`] is the independent per-file reference.
 pub fn map_partials(kind: AggKind, corpus_seed: u64, bins: &[Vec<FileSpec>]) -> Vec<Partial> {
+    let generator = TextGenerator::new(TextParams::default(), corpus_seed);
     bins.iter()
-        .map(|bin| oracle(kind, corpus_seed, bin))
+        .map(|bin| {
+            let mut partial = Partial::new();
+            for file in bin {
+                let bytes = generator.file_text(file);
+                let text = String::from_utf8_lossy(&bytes);
+                map_document_into(kind, file.id, &text, &mut partial);
+            }
+            partial
+        })
+        .collect()
+}
+
+/// The compute plan's map bins.
+fn plan_bins(plan: &Plan) -> Vec<Vec<FileSpec>> {
+    plan.instances.iter().map(|i| i.files.clone()).collect()
+}
+
+/// Every map bin's partial split into its per-reducer partials: the data
+/// plane the planner sizes and the executor moves and reduces.
+fn partitioned_partials(cfg: &ShuffleConfig, bins: &[Vec<FileSpec>]) -> Vec<Vec<Partial>> {
+    map_partials(cfg.kind, cfg.corpus_seed, bins)
+        .iter()
+        .map(|p| partition_partial(p, cfg.reduce_bins.max(1)))
         .collect()
 }
 
 /// The movement set a compute plan implies: one entry per non-empty
 /// `(map bin, reduce bin)` pair, in deterministic `(m, r)` order.
 pub fn shuffle_movements(cfg: &ShuffleConfig, bins: &[Vec<FileSpec>]) -> Vec<ShuffleMovement> {
+    movements_of(cfg, &partitioned_partials(cfg, bins))
+}
+
+/// [`shuffle_movements`] over already partitioned partials.
+fn movements_of(cfg: &ShuffleConfig, partitioned: &[Vec<Partial>]) -> Vec<ShuffleMovement> {
     let zones = cfg.zones();
-    let reduce_bins = cfg.reduce_bins.max(1);
     let mut out = Vec::new();
-    for (m, partial) in map_partials(cfg.kind, cfg.corpus_seed, bins)
-        .iter()
-        .enumerate()
-    {
-        for (r, part) in partition_partial(partial, reduce_bins).iter().enumerate() {
+    for (m, parts) in partitioned.iter().enumerate() {
+        for (r, part) in parts.iter().enumerate() {
             if part.is_empty() {
                 continue;
             }
@@ -459,17 +486,29 @@ pub fn plan_aggregation(
     fit: &Fit,
     deadline_secs: f64,
 ) -> Result<(Plan, ShufflePlan), ProvisionError> {
+    let (plan, shuffle_plan, _) = plan_with_partials(cfg, files, fit, deadline_secs)?;
+    Ok((plan, shuffle_plan))
+}
+
+/// [`plan_aggregation`], also returning the partitioned map partials the
+/// shuffle plan was sized from, so the executor need not map again.
+fn plan_with_partials(
+    cfg: &ShuffleConfig,
+    files: &[FileSpec],
+    fit: &Fit,
+    deadline_secs: f64,
+) -> Result<(Plan, ShufflePlan, Vec<Vec<Partial>>), ProvisionError> {
     let plan = make_plan(
         Strategy::AdjustedDeadline { p_miss: cfg.p_miss },
         files,
         fit,
         deadline_secs,
     )?;
-    let bins: Vec<Vec<FileSpec>> = plan.instances.iter().map(|i| i.files.clone()).collect();
-    let movements = shuffle_movements(cfg, &bins);
+    let partitioned = partitioned_partials(cfg, &plan_bins(&plan));
+    let movements = movements_of(cfg, &partitioned);
     let budget = (deadline_secs - plan.predicted_makespan()).max(0.0);
     let shuffle_plan = plan_shuffle(&movements, budget, cfg.p_miss, cfg.seed);
-    Ok((plan, shuffle_plan))
+    Ok((plan, shuffle_plan, partitioned))
 }
 
 /// Shared backoff state for transient S3 transfer errors.
@@ -542,6 +581,21 @@ pub fn execute_shuffle_observed(
     cfg: &ShuffleConfig,
     plan: &Plan,
     backend: SharingBackend,
+    obs: &Obs,
+) -> Result<ShuffleReport, ShuffleError> {
+    let partitioned = partitioned_partials(cfg, &plan_bins(plan));
+    execute_partitioned(cloud, cfg, plan, backend, &partitioned, obs)
+}
+
+/// [`execute_shuffle_observed`] over the plan's partitioned map partials.
+/// They are a pure function of (kind, corpus seed, bins), so the data
+/// plane is identical however the compute attempts go.
+fn execute_partitioned(
+    cloud: &mut Cloud,
+    cfg: &ShuffleConfig,
+    plan: &Plan,
+    backend: SharingBackend,
+    partitioned: &[Vec<Partial>],
     obs: &Obs,
 ) -> Result<ShuffleReport, ShuffleError> {
     let zones = cfg.zones();
@@ -646,14 +700,6 @@ pub fn execute_shuffle_observed(
     obs.span_end(map_span, map_finish_secs);
 
     // ---- Phase 2: shuffle ------------------------------------------------
-    // Partials are a pure function of (kind, corpus seed, bins) — the data
-    // plane is identical however the compute attempts went.
-    let bins: Vec<Vec<FileSpec>> = plan.instances.iter().map(|i| i.files.clone()).collect();
-    let partitioned: Vec<Vec<Partial>> = map_partials(cfg.kind, cfg.corpus_seed, &bins)
-        .iter()
-        .map(|p| partition_partial(p, reduce_bins))
-        .collect();
-
     let xfer_span = obs.span_start("shuffle.xfer", map_finish_secs);
     let mut engine = TransferEngine::new(backend, cfg.seed);
     let mut get_finish = vec![map_finish_secs; reduce_bins];
@@ -663,58 +709,50 @@ pub fn execute_shuffle_observed(
             rng: &mut rng,
             retries: &mut st.transient_retries,
         };
-        for (m, parts) in partitioned.iter().enumerate() {
-            for (r, part) in parts.iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                let key = format!("shuffle/{}/m{m}/r{r}", cfg.kind.label());
-                let bytes = partial_bytes(part);
-                let src = zones[m % zones.len()];
-                let dst = zones[r % zones.len()];
-                let mut put_nb = map_finish[m];
-                if backend == SharingBackend::S3 {
-                    put_nb = s3_op(cloud, &mut bo, obs, &key, bytes, put_nb, false)?;
-                }
-                let put = engine.transfer(&TransferRequest {
-                    key: key.clone(),
-                    bytes,
-                    src_zone: src,
-                    dst_zone: dst,
-                    not_before: put_nb,
-                    is_get: false,
-                });
-                obs.transfer(
-                    backend.label(),
-                    &key,
-                    bytes,
-                    put.started_at,
-                    put.finished_at - put.started_at,
-                );
-                obs.count("shuffle.bytes_moved", bytes);
-                st.put_horizon[m] = st.put_horizon[m].max(put.finished_at);
-                let mut get_nb = put.finished_at;
-                if backend == SharingBackend::S3 {
-                    get_nb = s3_op(cloud, &mut bo, obs, &key, bytes, get_nb, true)?;
-                }
-                let get = engine.transfer(&TransferRequest {
-                    key,
-                    bytes,
-                    src_zone: dst,
-                    dst_zone: dst,
-                    not_before: get_nb,
-                    is_get: true,
-                });
-                obs.transfer(
-                    backend.label(),
-                    &get.key,
-                    bytes,
-                    get.started_at,
-                    get.finished_at - get.started_at,
-                );
-                obs.count("shuffle.bytes_moved", bytes);
-                get_finish[r] = get_finish[r].max(get.finished_at);
+        for mv in movements_of(cfg, partitioned) {
+            let (m, r, bytes) = (mv.producer, mv.reducer, mv.bytes);
+            let mut put_nb = map_finish[m];
+            if backend == SharingBackend::S3 {
+                put_nb = s3_op(cloud, &mut bo, obs, &mv.key, bytes, put_nb, false)?;
             }
+            let put = engine.transfer(&TransferRequest {
+                key: mv.key.clone(),
+                bytes,
+                src_zone: mv.src_zone,
+                dst_zone: mv.dst_zone,
+                not_before: put_nb,
+                is_get: false,
+            });
+            obs.transfer(
+                backend.label(),
+                &mv.key,
+                bytes,
+                put.started_at,
+                put.finished_at - put.started_at,
+            );
+            obs.count("shuffle.bytes_moved", bytes);
+            st.put_horizon[m] = st.put_horizon[m].max(put.finished_at);
+            let mut get_nb = put.finished_at;
+            if backend == SharingBackend::S3 {
+                get_nb = s3_op(cloud, &mut bo, obs, &mv.key, bytes, get_nb, true)?;
+            }
+            let get = engine.transfer(&TransferRequest {
+                key: mv.key,
+                bytes,
+                src_zone: mv.dst_zone,
+                dst_zone: mv.dst_zone,
+                not_before: get_nb,
+                is_get: true,
+            });
+            obs.transfer(
+                backend.label(),
+                &get.key,
+                bytes,
+                get.started_at,
+                get.finished_at - get.started_at,
+            );
+            obs.count("shuffle.bytes_moved", bytes);
+            get_finish[r] = get_finish[r].max(get.finished_at);
         }
     }
     let shuffle_finish_secs = engine.horizon().max(map_finish_secs);
@@ -727,7 +765,7 @@ pub fn execute_shuffle_observed(
     let mut last_finish = shuffle_finish_secs;
     for r in 0..reduce_bins {
         let mut merged = Partial::new();
-        for parts in &partitioned {
+        for parts in partitioned {
             merge_partials(cfg.kind, &mut merged, &parts[r]);
         }
         if m_count > 0 && !merged.is_empty() {
@@ -821,8 +859,8 @@ pub fn execute_aggregation_observed(
     deadline_secs: f64,
     obs: &Obs,
 ) -> Result<AggregationReport, ShuffleError> {
-    let (plan, shuffle_plan) = plan_aggregation(cfg, files, fit, deadline_secs)?;
-    let exec = execute_shuffle_observed(cloud, cfg, &plan, shuffle_plan.backend, obs)?;
+    let (plan, shuffle_plan, partitioned) = plan_with_partials(cfg, files, fit, deadline_secs)?;
+    let exec = execute_partitioned(cloud, cfg, &plan, shuffle_plan.backend, &partitioned, obs)?;
     Ok(AggregationReport {
         plan: shuffle_plan,
         exec,
@@ -845,6 +883,7 @@ mod tests {
     use super::*;
     use ec2sim::{CloudConfig, FaultEvent, FaultKind, FaultPlan};
     use perfmodel::fit as fit_model;
+    use textapps::aggregate::oracle;
 
     fn zone() -> AvailabilityZone {
         AvailabilityZone::us_east_1a()
@@ -923,6 +962,30 @@ mod tests {
         assert_eq!(plan.movements, 0);
         assert_eq!(plan.movement_bytes, 0);
         assert!(plan.evaluations.iter().any(|e| e.feasible));
+    }
+
+    #[test]
+    fn map_partials_equal_the_per_bin_oracle() {
+        let mut odd = small_corpus(12);
+        for (i, f) in odd.iter_mut().enumerate() {
+            f.complexity = 0.5 + 0.25 * i as f64;
+        }
+        let bins = vec![
+            odd[..5].to_vec(),
+            Vec::new(),
+            odd[5..].to_vec(),
+            small_corpus(1),
+        ];
+        for kind in [AggKind::TermCount, AggKind::Dedup] {
+            for seed in [0, 42] {
+                let expected: Vec<Partial> = bins.iter().map(|b| oracle(kind, seed, b)).collect();
+                assert_eq!(
+                    map_partials(kind, seed, &bins),
+                    expected,
+                    "{kind:?} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

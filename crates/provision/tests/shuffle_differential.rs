@@ -10,7 +10,8 @@ use ec2sim::{Cloud, CloudConfig, FaultEvent, FaultKind, FaultPlan, SharingBacken
 use obs::Obs;
 use perfmodel::{fit as fit_model, Fit, ModelKind};
 use provision::{
-    execute_aggregation_observed, execute_shuffle_observed, make_plan, ShuffleConfig, Strategy,
+    execute_aggregation_observed, execute_shuffle_observed, make_plan, plan_aggregation,
+    AggregationReport, ShuffleConfig, Strategy,
 };
 use textapps::aggregate::{oracle, render};
 use textapps::AggKind;
@@ -153,5 +154,51 @@ fn planned_pipeline_is_deterministic_across_worker_counts() {
     let base = run(WORKERS[0]);
     for &w in &WORKERS[1..] {
         assert_eq!(run(w), base, "planned pipeline differs at {w} workers");
+    }
+}
+
+/// The one-call pipeline hands the planner's map partials to the executor
+/// instead of mapping again. That must change nothing: its report and
+/// NDJSON log equal planning and executing as two calls, for both kinds,
+/// with and without injected S3 transients.
+#[test]
+fn one_map_pass_pipeline_equals_plan_then_execute() {
+    // Files large enough that the planner picks S3, so the scripted
+    // transients hit real transfers, under a deadline that needs several
+    // map bins, so the hand-off carries more than one bin's partials.
+    let files: Vec<FileSpec> = (0..11)
+        .map(|i| FileSpec::new(i, 100_000 + 137 * i))
+        .collect();
+    let fit = compute_fit();
+    let deadline = 0.5;
+    for kind in [AggKind::TermCount, AggKind::Dedup] {
+        for (faults, faulted) in [(FaultPlan::none(), false), (scripted_s3_faults(), true)] {
+            let cfg = ShuffleConfig {
+                kind,
+                ..ShuffleConfig::default()
+            };
+            let obs = Obs::recording(cfg.seed);
+            let mut cloud = Cloud::with_faults(CloudConfig::default(), &faults);
+            let fused =
+                execute_aggregation_observed(&mut cloud, &cfg, &files, &fit, deadline, &obs)
+                    .unwrap();
+            let fused_log = obs.to_ndjson();
+
+            let obs = Obs::recording(cfg.seed);
+            let mut cloud = Cloud::with_faults(CloudConfig::default(), &faults);
+            let (plan, shuffle_plan) = plan_aggregation(&cfg, &files, &fit, deadline).unwrap();
+            let exec =
+                execute_shuffle_observed(&mut cloud, &cfg, &plan, shuffle_plan.backend, &obs)
+                    .unwrap();
+            let split = AggregationReport {
+                plan: shuffle_plan,
+                exec,
+            };
+            assert_eq!(split.plan.backend, SharingBackend::S3);
+            assert!(split.exec.map_shares > 1, "{kind:?}: one map bin");
+            assert_eq!(split.exec.transient_retries > 0, faulted, "{kind:?}");
+            assert_eq!(fused, split, "{kind:?}: reports differ");
+            assert_eq!(fused_log, obs.to_ndjson(), "{kind:?}: logs differ");
+        }
     }
 }

@@ -49,36 +49,54 @@ pub type Partial = BTreeMap<String, u64>;
 /// Tokenize one document and emit its keyed partial.
 pub fn map_document(kind: AggKind, file_id: u64, text: &str) -> Partial {
     let mut out = Partial::new();
+    map_document_into(kind, file_id, text, &mut out);
+    out
+}
+
+/// Tokenize one document and merge its terms straight into `acc` — the
+/// same map as [`map_document`] followed by [`merge_partials`], without
+/// the per-document map. A term already in `acc` is found by `&str`, so
+/// only new terms keep their token's allocation.
+pub fn map_document_into(kind: AggKind, file_id: u64, text: &str, acc: &mut Partial) {
+    let value = match kind {
+        AggKind::TermCount => 1,
+        AggKind::Dedup => file_id,
+    };
     for sentence in sentences(text) {
         for token in tokenize(sentence) {
             if token.is_punct {
                 continue;
             }
-            let term = token.text.to_lowercase();
-            match kind {
-                AggKind::TermCount => *out.entry(term).or_insert(0) += 1,
-                AggKind::Dedup => {
-                    out.entry(term)
-                        .and_modify(|v| *v = (*v).min(file_id))
-                        .or_insert(file_id);
+            let mut term = token.text;
+            if term.is_ascii() {
+                term.make_ascii_lowercase();
+            } else {
+                term = term.to_lowercase();
+            }
+            match acc.get_mut(term.as_str()) {
+                Some(v) => merge_value(kind, v, value),
+                None => {
+                    acc.insert(term, value);
                 }
             }
         }
     }
-    out
+}
+
+/// Fold `value` into `acc` with the kind's commutative operator.
+fn merge_value(kind: AggKind, acc: &mut u64, value: u64) {
+    match kind {
+        AggKind::TermCount => *acc += value,
+        AggKind::Dedup => *acc = (*acc).min(value),
+    }
 }
 
 /// Merge `other` into `acc` with the kind's commutative operator.
 pub fn merge_partials(kind: AggKind, acc: &mut Partial, other: &Partial) {
     for (term, &value) in other {
-        match kind {
-            AggKind::TermCount => *acc.entry(term.clone()).or_insert(0) += value,
-            AggKind::Dedup => {
-                acc.entry(term.clone())
-                    .and_modify(|v| *v = (*v).min(value))
-                    .or_insert(value);
-            }
-        }
+        acc.entry(term.clone())
+            .and_modify(|v| merge_value(kind, v, value))
+            .or_insert(value);
     }
 }
 
@@ -181,6 +199,46 @@ mod tests {
             let mut ba = b.clone();
             merge_partials(kind, &mut ba, &a);
             assert_eq!(ab, ba, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_terms_are_lowercased() {
+        let p = map_document(AggKind::TermCount, 0, "ÉCOLE école. ΣΟΦΙΑ σοφια!");
+        assert_eq!(p.len(), 2, "{p:?}");
+        assert_eq!(p["école"], 2);
+        assert_eq!(p["σοφια"], 2);
+    }
+
+    #[test]
+    fn map_into_equals_map_then_merge_in_any_order() {
+        let mut docs: Vec<(u64, String)> = vec![
+            (4, "ÉCOLE école. ΣΟΦΙΑ σοφια!".into()),
+            (2, "Ka ti ka. Ti KA!".into()),
+            (9, "don't well-known ROCK'N'ROLL, 42 apples?".into()),
+        ];
+        for file in files(3) {
+            let bytes = corpus::text_bytes(5, &file);
+            docs.push((file.id, String::from_utf8(bytes).unwrap()));
+        }
+        let forward: Vec<usize> = (0..docs.len()).collect();
+        let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+        let interleaved: Vec<usize> = (0..docs.len())
+            .step_by(2)
+            .chain((1..docs.len()).step_by(2))
+            .collect();
+        for kind in [AggKind::TermCount, AggKind::Dedup] {
+            let mut expected = Partial::new();
+            for (id, text) in &docs {
+                merge_partials(kind, &mut expected, &map_document(kind, *id, text));
+            }
+            for order in [&forward, &reversed, &interleaved] {
+                let mut acc = Partial::new();
+                for &i in order {
+                    map_document_into(kind, docs[i].0, &docs[i].1, &mut acc);
+                }
+                assert_eq!(acc, expected, "{kind:?} in order {order:?}");
+            }
         }
     }
 

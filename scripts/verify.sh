@@ -34,6 +34,11 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 if [[ $fast -eq 0 ]]; then
+  # The benchmark is a package of its own that calls public library items;
+  # its self-test runs every workload at a tiny scale, so a change to an
+  # item it calls fails here rather than in the benchmark run.
+  echo "==> perfbench self-test"
+  python3 perfbench/test_perfbench.py
   # The chaos harness already ran under `cargo test -q`; the ablation bin
   # additionally persists the DegradedReport artifact CI uploads.
   echo "==> chaos ablation (writes results/CHAOS_seed*.json)"

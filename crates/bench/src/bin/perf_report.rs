@@ -1,26 +1,22 @@
-//! Packing-kernel performance report — the crossover sweep behind the
-//! adaptive dispatch table.
+//! Packing-kernel performance report: the index-structure kernels against
+//! their quadratic `naive_*` references.
 //!
-//! Sweeps the naive, fast and `Kernel::Auto` implementations of every split
-//! kernel over corpus-shaped inputs from 10⁴ up to the paper's full 18M-file
-//! HTML corpus and writes `results/BENCH_packing.json`. On top of the
-//! sequential sweep it:
+//! Sweeps the fast and naive implementations of subset-sum first fit, first
+//! fit and best fit over corpus-shaped inputs from 10⁴ up to the paper's
+//! full 18M-file HTML corpus and writes `results/BENCH_packing.json`. On top
+//! of the sequential sweep it:
 //!
 //! * times the **sharded parallel pack** (`pack_sharded`, fixed 64 shards)
 //!   at 10⁶ and 1.8·10⁷ items across several worker counts, asserting the
 //!   packing is byte-identical at every thread count, and records per-shard
 //!   timing as `obs` spans (written to `results/OBS_pack_shards.ndjson`);
-//! * regenerates the **calibration table** (`--calibrate`, implied by a full
-//!   run): a geometric size sweep per kernel locating the measured
-//!   naive→fast crossover, written to `results/CALIBRATION_packing.json`;
 //! * acts as the **CI perf regression gate** (`--gate`): exits non-zero if
-//!   any fast kernel is more than 1.5× slower than its naive reference above
-//!   the calibrated threshold, or `Auto` is more than 1.5× slower than naive
-//!   anywhere.
+//!   any fast kernel is more than 1.5× slower than its naive reference at
+//!   [`GATE_MIN_ITEMS`] items or more.
 //!
 //! Small sizes are timed as the best of several interleaved rounds (the
-//! naive/fast/auto variants alternate within a round, so cache state and CPU
-//! frequency drift hit all three equally); the 18M point runs once — the
+//! naive and fast variants alternate within a round, so cache state and CPU
+//! frequency drift hit both equally); the 18M point runs once — the
 //! quadratic references are skipped above `NAIVE_MAX_ITEMS` (default 10⁶).
 //! Every JSON entry records the parallelism actually used: `threads` is 1
 //! for the sequential kernel entries and the real worker count for the
@@ -29,8 +25,8 @@
 use bench::{smoke, Table, RESULTS_DIR};
 use binpack::{
     best_fit, first_fit, merge_shard_packings, naive_best_fit, naive_first_fit,
-    naive_subset_sum_first_fit, pack_sharded, subset_sum_first_fit, Algorithm, Calibration, Item,
-    Kernel, MergePolicy, Packing, Parallelism, ShardedConfig,
+    naive_subset_sum_first_fit, pack_sharded, subset_sum_first_fit, Algorithm, Item, MergePolicy,
+    Packing, Parallelism, ShardedConfig,
 };
 use serde::Serialize;
 use std::hint::black_box;
@@ -51,20 +47,25 @@ const BENCH_SHARDS: usize = 64;
 /// factor slower than the naive reference.
 const GATE_MAX_RATIO: f64 = 1.5;
 
+/// Smallest input the gate judges: the largest measured naive→fast
+/// crossover on the HTML_18mil size distribution (best fit; subset-sum and
+/// first fit cross at 16,384). Below it the cache-resident naive scans may
+/// win, by under half a millisecond per call at 10⁴ items.
+const GATE_MIN_ITEMS: usize = 32_768;
+
 type PackFn = fn(&[Item], u64) -> Packing;
 
 /// A named timing variant: a label plus a closure producing one packing.
 type Variant<'a> = (&'a str, Box<dyn FnMut() -> Packing + 'a>);
 
-const KERNELS: [(&str, Algorithm, PackFn, PackFn); 3] = [
+const KERNELS: [(&str, PackFn, PackFn); 3] = [
     (
         "subset_sum_first_fit",
-        Algorithm::SubsetSumFirstFit,
         subset_sum_first_fit,
         naive_subset_sum_first_fit,
     ),
-    ("first_fit", Algorithm::FirstFit, first_fit, naive_first_fit),
-    ("best_fit", Algorithm::BestFit, best_fit, naive_best_fit),
+    ("first_fit", first_fit, naive_first_fit),
+    ("best_fit", best_fit, naive_best_fit),
 ];
 
 #[derive(Debug, Serialize)]
@@ -75,13 +76,9 @@ struct Entry {
     /// Parallelism actually used for this entry (sequential kernels: 1).
     threads: usize,
     fast_secs: f64,
-    auto_secs: f64,
-    /// Which implementation `Kernel::Auto` dispatched to at this size.
-    auto_dispatched: String,
     fast_items_per_sec: f64,
     naive_secs: Option<f64>,
     speedup_vs_naive: Option<f64>,
-    speedup_auto_vs_naive: Option<f64>,
 }
 
 #[derive(Debug, Serialize)]
@@ -108,36 +105,8 @@ struct Report {
     /// Worker count `Parallelism::default()` resolves to on this host.
     host_threads: usize,
     corpus: &'static str,
-    calibration_default: Calibration,
     entries: Vec<Entry>,
     parallel: Vec<ParallelEntry>,
-}
-
-#[derive(Debug, Serialize)]
-struct CalibrationPoint {
-    items: usize,
-    fast_secs: f64,
-    naive_secs: f64,
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct CalibrationSweep {
-    kernel: String,
-    points: Vec<CalibrationPoint>,
-    /// Smallest swept size from which the fast kernel never loses again;
-    /// `None` when it still loses at the top of the sweep.
-    measured_crossover: Option<usize>,
-}
-
-#[derive(Debug, Serialize)]
-struct CalibrationReport {
-    capacity: u64,
-    host_threads: usize,
-    corpus: &'static str,
-    /// The documented defaults shipped in `binpack::Calibration::DEFAULT`.
-    default: Calibration,
-    sweeps: Vec<CalibrationSweep>,
 }
 
 fn corpus_items(n: usize) -> Vec<Item> {
@@ -201,63 +170,34 @@ fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("[json] {}", path.display());
 }
 
-/// Sequential kernel sweep: naive vs fast vs Auto per size.
-fn kernel_sweep(sizes: &[usize], naive_max: usize, cal: &Calibration) -> Vec<Entry> {
+/// Sequential kernel sweep: naive vs fast per size.
+fn kernel_sweep(sizes: &[usize], naive_max: usize) -> Vec<Entry> {
     let mut entries = Vec::new();
     let mut table = Table::new(
         &format!("packing kernels, corpus-shaped items, capacity {CAPACITY} B"),
-        &[
-            "kernel", "items", "naive(s)", "fast(s)", "auto(s)", "auto->", "fast spd", "auto spd",
-        ],
+        &["kernel", "items", "naive(s)", "fast(s)", "speedup"],
     );
     for &n in sizes {
         let items = corpus_items(n);
-        for (name, alg, fast, naive) in KERNELS {
+        for (name, fast, naive) in KERNELS {
             let (rounds, inner) = rounds_for(n);
-            let dispatched = cal.resolve(alg, n);
             let run_naive = n <= naive_max;
             let items_ref = &items;
-            let mut variants: Vec<Variant<'_>> = vec![
-                ("fast", Box::new(move || fast(items_ref, CAPACITY))),
-                (
-                    "auto",
-                    Box::new(move || alg.pack_with(Kernel::Auto, cal, items_ref, CAPACITY)),
-                ),
-            ];
+            let mut variants: Vec<Variant<'_>> =
+                vec![("fast", Box::new(move || fast(items_ref, CAPACITY)))];
             if run_naive {
                 variants.push(("naive", Box::new(move || naive(items_ref, CAPACITY))));
             }
             let mins = time_interleaved(&mut variants, rounds, inner);
-            let (fast_secs, mut auto_secs) = (mins[0], mins[1]);
-            let mut naive_secs = run_naive.then(|| mins[2]);
-            // Below the threshold `Auto` dispatches to the naive kernel:
-            // the two variants execute the same function (pinned by the
-            // dispatch proptests), so their samples estimate the same
-            // quantity and are pooled. The reported ratio then reflects
-            // dispatch overhead — none measurable — instead of sampling
-            // noise between two runs of identical code.
-            if dispatched == Kernel::Naive {
-                if let Some(ns) = naive_secs {
-                    let pooled = ns.min(auto_secs);
-                    auto_secs = pooled;
-                    naive_secs = Some(pooled);
-                }
-            }
+            let fast_secs = mins[0];
+            let naive_secs = run_naive.then(|| mins[1]);
             let speedup = naive_secs.map(|ns| round2(ns / fast_secs));
-            let speedup_auto = naive_secs.map(|ns| round2(ns / auto_secs));
-            let dispatched_name = match dispatched {
-                Kernel::Naive => "naive",
-                _ => "fast",
-            };
             table.row(vec![
                 name.to_string(),
                 n.to_string(),
                 naive_secs.map_or("-".into(), |s| format!("{s:.3}")),
                 format!("{fast_secs:.4}"),
-                format!("{auto_secs:.4}"),
-                dispatched_name.to_string(),
                 speedup.map_or("-".into(), |s| format!("{s:.2}x")),
-                speedup_auto.map_or("-".into(), |s| format!("{s:.2}x")),
             ]);
             entries.push(Entry {
                 kernel: name.to_string(),
@@ -265,12 +205,9 @@ fn kernel_sweep(sizes: &[usize], naive_max: usize, cal: &Calibration) -> Vec<Ent
                 capacity: CAPACITY,
                 threads: 1,
                 fast_secs,
-                auto_secs,
-                auto_dispatched: dispatched_name.to_string(),
                 fast_items_per_sec: n as f64 / fast_secs,
                 naive_secs,
                 speedup_vs_naive: speedup,
-                speedup_auto_vs_naive: speedup_auto,
             });
         }
     }
@@ -399,98 +336,26 @@ fn emit_shard_spans(alg: Algorithm, items: &[Item], config: ShardedConfig, expec
     );
 }
 
-/// Geometric size sweep locating each kernel's measured naive→fast
-/// crossover.
-fn calibration_sweep() -> CalibrationReport {
-    let sizes: Vec<usize> = (0..8).map(|i| 1_024 << i).collect(); // 1k .. 131k
-    let mut sweeps = Vec::new();
-    let mut table = Table::new(
-        "measured naive->fast crossover per kernel",
-        &["kernel", "crossover(items)"],
-    );
-    for (name, _, fast, naive) in KERNELS {
-        let mut points = Vec::new();
-        for &n in &sizes {
-            let items = corpus_items(n);
-            let items_ref = &items;
-            let mut variants: Vec<Variant<'_>> = vec![
-                ("fast", Box::new(move || fast(items_ref, CAPACITY))),
-                ("naive", Box::new(move || naive(items_ref, CAPACITY))),
-            ];
-            let mins = time_interleaved(&mut variants, 7, if n <= 10_000 { 5 } else { 1 });
-            points.push(CalibrationPoint {
-                items: n,
-                fast_secs: mins[0],
-                naive_secs: mins[1],
-                speedup: round2(mins[1] / mins[0]),
-            });
-        }
-        // Crossover: smallest size from which fast never loses again.
-        let mut crossover = None;
-        for p in points.iter().rev() {
-            if p.fast_secs <= p.naive_secs {
-                crossover = Some(p.items);
-            } else {
-                break;
-            }
-        }
-        // Fast already winning at the smallest size: call it 0 (always fast).
-        if crossover == Some(sizes[0]) {
-            crossover = Some(0);
-        }
-        table.row(vec![
-            name.to_string(),
-            crossover.map_or("> sweep".into(), |c| c.to_string()),
-        ]);
-        sweeps.push(CalibrationSweep {
-            kernel: name.to_string(),
-            points,
-            measured_crossover: crossover,
-        });
-    }
-    table.print();
-    CalibrationReport {
-        capacity: CAPACITY,
-        host_threads: Parallelism::default().effective_workers(),
-        corpus: "html_18mil",
-        default: Calibration::DEFAULT,
-        sweeps,
-    }
-}
-
-/// The CI regression gate: above the calibrated threshold the fast kernel
-/// must stay within `GATE_MAX_RATIO` of naive; `Auto` must everywhere.
-fn run_gate(entries: &[Entry], cal: &Calibration) -> Result<(), Vec<String>> {
-    let mut violations = Vec::new();
-    for e in entries {
-        let Some(naive) = e.naive_secs else { continue };
-        let alg = KERNELS
-            .iter()
-            .find(|(n, ..)| *n == e.kernel)
-            .map(|(_, a, ..)| *a)
-            .expect("entry names a known kernel");
-        let above = cal.threshold(alg).is_some_and(|t| e.items >= t);
-        if above && e.fast_secs > GATE_MAX_RATIO * naive {
-            violations.push(format!(
-                "{} at {} items: fast {:.4}s is {:.2}x naive {:.4}s (limit {GATE_MAX_RATIO}x)",
-                e.kernel,
-                e.items,
-                e.fast_secs,
-                e.fast_secs / naive,
-                naive
-            ));
-        }
-        if e.auto_secs > GATE_MAX_RATIO * naive {
-            violations.push(format!(
-                "{} at {} items: auto {:.4}s is {:.2}x naive {:.4}s (limit {GATE_MAX_RATIO}x)",
-                e.kernel,
-                e.items,
-                e.auto_secs,
-                e.auto_secs / naive,
-                naive
-            ));
-        }
-    }
+/// The CI regression gate: from [`GATE_MIN_ITEMS`] up, every fast kernel
+/// must stay within `GATE_MAX_RATIO` of its naive reference.
+fn run_gate(entries: &[Entry]) -> Result<(), Vec<String>> {
+    let violations: Vec<String> = entries
+        .iter()
+        .filter(|e| e.items >= GATE_MIN_ITEMS)
+        .filter_map(|e| {
+            let naive = e.naive_secs?;
+            (e.fast_secs > GATE_MAX_RATIO * naive).then(|| {
+                format!(
+                    "{} at {} items: fast {:.4}s is {:.2}x naive {:.4}s (limit {GATE_MAX_RATIO}x)",
+                    e.kernel,
+                    e.items,
+                    e.fast_secs,
+                    e.fast_secs / naive,
+                    naive
+                )
+            })
+        })
+        .collect();
     if violations.is_empty() {
         Ok(())
     } else {
@@ -501,7 +366,6 @@ fn run_gate(entries: &[Entry], cal: &Calibration) -> Result<(), Vec<String>> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let gate = args.iter().any(|a| a == "--gate");
-    let calibrate = args.iter().any(|a| a == "--calibrate") || !smoke();
 
     let sizes: &[usize] = if smoke() {
         &[10_000, 100_000]
@@ -521,11 +385,10 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000);
 
-    let cal = Calibration::DEFAULT;
     let host_threads = Parallelism::default().effective_workers();
     println!("host parallelism: {host_threads} worker(s)");
 
-    let entries = kernel_sweep(sizes, naive_max, &cal);
+    let entries = kernel_sweep(sizes, naive_max);
     let emit_obs_for = (!smoke()).then_some(PAPER_SCALE_ITEMS);
     let parallel = parallel_sweep(parallel_sizes, thread_counts, emit_obs_for);
 
@@ -533,7 +396,6 @@ fn main() {
         capacity: CAPACITY,
         host_threads,
         corpus: "html_18mil",
-        calibration_default: cal,
         entries,
         parallel,
     };
@@ -546,13 +408,8 @@ fn main() {
     };
     write_json(report_name, &report);
 
-    if calibrate {
-        let cal_report = calibration_sweep();
-        write_json("CALIBRATION_packing.json", &cal_report);
-    }
-
     if gate {
-        match run_gate(&report.entries, &cal) {
+        match run_gate(&report.entries) {
             Ok(()) => println!("[gate] all kernels within {GATE_MAX_RATIO}x of naive"),
             Err(violations) => {
                 for v in &violations {
@@ -560,6 +417,39 @@ fn main() {
                 }
                 std::process::exit(1);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(kernel: &str, items: usize, fast_secs: f64, naive_secs: Option<f64>) -> Entry {
+        Entry {
+            kernel: kernel.to_string(),
+            items,
+            capacity: CAPACITY,
+            threads: 1,
+            fast_secs,
+            fast_items_per_sec: items as f64 / fast_secs,
+            naive_secs,
+            speedup_vs_naive: naive_secs.map(|ns| round2(ns / fast_secs)),
+        }
+    }
+
+    #[test]
+    fn gate_judges_every_kernel_where_the_sweeps_time_naive() {
+        for (name, ..) in KERNELS {
+            // Below the floor the naive scan may win.
+            assert!(run_gate(&[entry(name, 10_000, 2.0, Some(1.0))]).is_ok());
+            // The smoke (10^5) and full (10^5, 10^6) sizes are judged.
+            for items in [100_000, 1_000_000] {
+                assert!(run_gate(&[entry(name, items, 1.6, Some(1.0))]).is_err());
+                assert!(run_gate(&[entry(name, items, 1.4, Some(1.0))]).is_ok());
+            }
+            // No naive reference above NAIVE_MAX_ITEMS, nothing to judge.
+            assert!(run_gate(&[entry(name, PAPER_SCALE_ITEMS, 9.0, None)]).is_ok());
         }
     }
 }

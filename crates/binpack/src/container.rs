@@ -118,7 +118,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// FNV-1a 64-bit hash of a member name — the index key. Pure function of
-/// the name bytes, so lookups are machine-independent.
+/// the name bytes, so lookups are machine-independent. `binpack` depends on
+/// no workspace crate, so it keeps its own FNV-1a; the workspace test
+/// `seeded_hashes` pins it to `corpus::hash::fnv1a`.
 pub fn member_name_hash(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in name.as_bytes() {

@@ -5,12 +5,10 @@
 //! existing bins, "since we avoid rerunning the first fit bin packing
 //! algorithm, but can be sensitive to the quality of the original bins of
 //! size s0" (§4). We reproduce that: `derive_merged` merges `m` consecutive
-//! bins into one, `derive_probe_chain` produces the whole chain.
+//! bins into one.
 
 use crate::item::Bin;
 use crate::pack::Packing;
-use crate::parallel::Parallelism;
-use rayon::prelude::*;
 
 /// Merge every `factor` consecutive bins of `base` into one bin of capacity
 /// `factor · base.capacity`. The final merged bin may cover fewer than
@@ -30,30 +28,6 @@ pub fn derive_merged(base: &Packing, factor: usize) -> Packing {
         bins.push(b);
     }
     Packing { bins, capacity }
-}
-
-/// Produce the chain of derived packings for each factor in `factors`
-/// (e.g. `[2, 5, 10, 100]` for units `2·s0, 5·s0, 10·s0, 100·s0`).
-/// Each derivation starts from `base`, matching the paper's procedure.
-pub fn derive_probe_chain(base: &Packing, factors: &[usize]) -> Vec<Packing> {
-    factors.iter().map(|&f| derive_merged(base, f)).collect()
-}
-
-/// [`derive_probe_chain`] with each factor derived concurrently. Every
-/// derivation reads `base` and writes an independent output, so the chain is
-/// embarrassingly parallel; results are gathered in factor order and are
-/// identical to the sequential chain.
-pub fn derive_probe_chain_par(
-    base: &Packing,
-    factors: &[usize],
-    parallelism: Parallelism,
-) -> Vec<Packing> {
-    parallelism.install(|| {
-        factors
-            .par_iter()
-            .map(|&f| derive_merged(base, f))
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -90,20 +64,6 @@ mod tests {
         let same = derive_merged(&base, 1);
         assert_eq!(same.len(), base.len());
         assert_eq!(same.bin_sizes(), base.bin_sizes());
-    }
-
-    #[test]
-    fn chain_produces_requested_factors() {
-        let items = Item::from_sizes(&[1; 100]);
-        let base = subset_sum_first_fit(&items, 10);
-        let chain = derive_probe_chain(&base, &[2, 5, 10]);
-        assert_eq!(chain.len(), 3);
-        assert_eq!(chain[0].capacity, 20);
-        assert_eq!(chain[1].capacity, 50);
-        assert_eq!(chain[2].capacity, 100);
-        for p in &chain {
-            assert_eq!(p.total_size(), 100);
-        }
     }
 
     #[test]

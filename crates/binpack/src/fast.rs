@@ -153,8 +153,8 @@ pub fn subset_sum_first_fit(items: &[Item], capacity: u64) -> Packing {
 /// the lowest-numbered open non-oversize bin with room, else a new bin
 /// opens; items larger than `capacity` get dedicated oversize bins at their
 /// arrival position. The segment tree keeps one slot per opened bin —
-/// key = free space, or [`INACTIVE`](crate::segtree::INACTIVE) for oversize
-/// slots — so the bin search is a single leftmost-at-least descent.
+/// key = free space, or a sentinel below every size for oversize slots — so
+/// the bin search is a single leftmost-at-least descent.
 pub fn first_fit(items: &[Item], capacity: u64) -> Packing {
     assert_indexable(items.len());
     let order: Vec<u32> = (0..index_u32(items.len())).collect();
@@ -326,25 +326,45 @@ mod tests {
             .collect()
     }
 
+    /// Input sizes for the fast ≡ naive pins: the small mix, and one well
+    /// above the proptests' 200-item ceiling, because production runs the
+    /// fast kernel at every input size.
+    const AWKWARD_NS: [usize; 2] = [500, 4_096];
+
     #[test]
     fn subset_sum_matches_naive_on_awkward_mix() {
-        let items = Item::from_sizes(&awkward_sizes(500, 1000));
-        assert_eq!(
-            subset_sum_first_fit(&items, 1000),
-            naive_subset_sum_first_fit(&items, 1000)
-        );
+        for n in AWKWARD_NS {
+            let items = Item::from_sizes(&awkward_sizes(n, 1000));
+            assert_eq!(
+                subset_sum_first_fit(&items, 1000),
+                naive_subset_sum_first_fit(&items, 1000),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]
     fn first_fit_matches_naive_on_awkward_mix() {
-        let items = Item::from_sizes(&awkward_sizes(500, 1000));
-        assert_eq!(first_fit(&items, 1000), naive_first_fit(&items, 1000));
+        for n in AWKWARD_NS {
+            let items = Item::from_sizes(&awkward_sizes(n, 1000));
+            assert_eq!(
+                first_fit(&items, 1000),
+                naive_first_fit(&items, 1000),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]
     fn best_fit_matches_naive_on_awkward_mix() {
-        let items = Item::from_sizes(&awkward_sizes(500, 1000));
-        assert_eq!(best_fit(&items, 1000), naive_best_fit(&items, 1000));
+        for n in AWKWARD_NS {
+            let items = Item::from_sizes(&awkward_sizes(n, 1000));
+            assert_eq!(
+                best_fit(&items, 1000),
+                naive_best_fit(&items, 1000),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //! * the **subset-sum first fit** heuristic the paper uses (§4, §5.2),
 //! * the standard first-fit family (in input order and decreasing),
 //!   best-fit, next-fit and worst-fit for comparison/ablation,
-//! * **O(n log n) kernels** for subset-sum first fit, first fit, best fit
-//!   and `uniform_k_bins` ([`fast`](crate::subset_sum_first_fit), backed by
-//!   a sorted multiset, a segment tree, an ordered set and a min-heap
-//!   respectively) that produce bitwise identical packings to the retained
-//!   `naive_*` reference implementations — at paper scale (18M files) the
-//!   quadratic references are unusable,
-//! * a [`Parallelism`] knob and parallel sweep paths
-//!   ([`derive_probe_chain_par`]) whose outputs match the sequential ones,
+//! * **one O(n log n) kernel per algorithm**: [`subset_sum_first_fit`],
+//!   [`first_fit`], [`best_fit`] and [`uniform_k_bins`] are backed by a
+//!   sorted multiset, a segment tree, an ordered set and a min-heap
+//!   respectively, and produce bitwise identical packings to the quadratic
+//!   `naive_*` scans — which stay public only as the reference for the
+//!   differential tests and the baseline of the perf gate,
+//! * a deterministic sharded pack ([`pack_sharded`]) whose output is
+//!   independent of its [`Parallelism`] worker count,
 //! * **derived probes**: given a packing at unit size `s0`, directly derive
-//!   packings at unit sizes `m·s0` by merging consecutive bins — the trick
-//!   the paper uses to avoid re-running first fit for every probe size,
+//!   packings at unit sizes `m·s0` by merging consecutive bins
+//!   ([`derive_merged`]) — the trick the paper uses to avoid re-running
+//!   first fit for every probe size,
 //! * **k-bin packing** with optional uniform balancing, used when a
 //!   provisioning plan prescribes exactly `i` instances (Fig 8(b)),
 //! * packing statistics (fill factor, waste, bin count).
@@ -35,8 +36,6 @@
 pub mod check;
 pub mod container;
 mod derive;
-mod dispatch;
-mod dp;
 mod fast;
 mod item;
 mod kbins;
@@ -55,9 +54,7 @@ pub use container::{
     container_from_bin, crc32, member_name_hash, read_container_file, Container, ContainerError,
     ContainerWriter, MemberEntry, FORMAT_VERSION, MAGIC,
 };
-pub use derive::{derive_merged, derive_probe_chain, derive_probe_chain_par};
-pub use dispatch::{Calibration, Kernel};
-pub use dp::subset_sum_dp;
+pub use derive::derive_merged;
 pub use fast::{best_fit, first_fit, subset_sum_first_fit, uniform_k_bins};
 pub use item::{Bin, Item, ItemId};
 pub use kbins::{naive_uniform_k_bins, pack_into_k_bins, rebalance_uniform};

@@ -5,7 +5,7 @@
 //! The batch planner ([`Algorithm::pack`]) sees the whole corpus at once;
 //! real corpora arrive continuously. [`StreamPacker`] buffers arrivals into
 //! a *pending segment* and, when a [`SealPolicy`] trigger fires, batch-packs
-//! the segment with the configured algorithm/kernel and seals the resulting
+//! the segment with the configured algorithm and seals the resulting
 //! bins. Sealed bins are immutable — exactly the property the container
 //! format (see [`crate::container`]) needs to write unit files as they
 //! close instead of at corpus end.
@@ -13,15 +13,15 @@
 //! # Streaming ≡ batch, by construction
 //!
 //! Each sealed segment is a **contiguous run of the arrival sequence**,
-//! packed by the same `Algorithm::pack_with` the batch path uses, and
+//! packed by the same [`Algorithm::pack`] the batch path uses, and
 //! [`StreamPacker::finish`] merges segments with the same
 //! [`merge_shard_packings`] used by [`pack_sharded`] — segments play the
 //! role of shards. Two exact equivalences follow (pinned by the
 //! differential proptests in `tests/stream_vs_batch.rs`):
 //!
 //! 1. **Flush-only**: with no seal triggers, the whole trace is one
-//!    segment, so the output *is* the batch `pack_with` output — same bins,
-//!    same order, for every algorithm, kernel and merge policy.
+//!    segment, so the output *is* the batch [`Algorithm::pack`] output —
+//!    same bins, same order, for every algorithm and merge policy.
 //! 2. **Sealing at [`shard_ranges`] boundaries** reproduces
 //!    [`pack_sharded`] with the matching `ShardedConfig` bit-for-bit.
 //!
@@ -35,10 +35,10 @@
 //! every container byte) exactly.
 //!
 //! [`shard_ranges`]: crate::parallel::shard_ranges
+//! [`pack_sharded`]: crate::parallel::pack_sharded
 
 use serde::{Deserialize, Serialize};
 
-use crate::dispatch::{Calibration, Kernel};
 use crate::item::Item;
 use crate::pack::Packing;
 use crate::parallel::{merge_shard_packings, MergePolicy};
@@ -121,26 +121,20 @@ pub struct StreamConfig {
     pub capacity: u64,
     /// Packing algorithm applied to each sealed segment.
     pub algorithm: Algorithm,
-    /// Kernel choice for segment packs.
-    pub kernel: Kernel,
-    /// Crossover table consulted by [`Kernel::Auto`].
-    pub calibration: Calibration,
     /// When to seal the pending segment.
     pub seal: SealPolicy,
     /// How sealed segments merge at [`StreamPacker::finish`] (same
-    /// semantics as shard merging in [`pack_sharded`]).
+    /// semantics as shard merging in [`pack_sharded`](crate::pack_sharded)).
     pub merge: MergePolicy,
 }
 
 impl StreamConfig {
-    /// Paper defaults at the given capacity: subset-sum first fit, adaptive
-    /// kernel, flush-only sealing, tail repack on merge.
+    /// Paper defaults at the given capacity: subset-sum first fit,
+    /// flush-only sealing, tail repack on merge.
     pub fn new(capacity: u64) -> Self {
         StreamConfig {
             capacity,
             algorithm: Algorithm::SubsetSumFirstFit,
-            kernel: Kernel::Auto,
-            calibration: Calibration::DEFAULT,
             seal: SealPolicy::flush_only(),
             merge: MergePolicy::RepackTails,
         }
@@ -300,10 +294,10 @@ impl StreamPacker {
     }
 
     /// Flush the last pending segment and merge all segments into the final
-    /// packing. A single segment is returned as-is (mirroring
-    /// [`pack_sharded`]'s single-shard short-circuit, which is what makes
-    /// flush-only streaming *exactly* equal to the batch pack); multiple
-    /// segments merge under the configured [`MergePolicy`].
+    /// packing. A single segment is returned as-is (mirroring the
+    /// single-shard short-circuit of [`pack_sharded`](crate::pack_sharded),
+    /// which is what makes flush-only streaming *exactly* equal to the batch
+    /// pack); multiple segments merge under the configured [`MergePolicy`].
     pub fn finish(mut self, now_secs: f64) -> StreamOutcome {
         self.seal(SealCause::Flush, now_secs);
         let summaries: Vec<SegmentSummary> = self
@@ -358,12 +352,7 @@ impl StreamPacker {
         let items = std::mem::take(&mut self.pending);
         let bytes = self.pending_bytes;
         self.pending_bytes = 0;
-        let packing = self.config.algorithm.pack_with(
-            self.config.kernel,
-            &self.config.calibration,
-            &items,
-            self.config.capacity,
-        );
+        let packing = self.config.algorithm.pack(&items, self.config.capacity);
         self.stats.sealed_segments += 1;
         self.stats.sealed_bins += packing.len() as u64;
         self.stats.sealed_bytes += bytes;
@@ -404,8 +393,6 @@ pub struct CompactionStats {
 /// repack may itself leave one trailing bin below the threshold.
 pub fn compact_underfull(
     alg: Algorithm,
-    kernel: Kernel,
-    calibration: &Calibration,
     packing: Packing,
     min_fill: f64,
 ) -> (Packing, CompactionStats) {
@@ -426,7 +413,7 @@ pub fn compact_underfull(
         }
     }
     if !loose.is_empty() {
-        kept.extend(alg.pack_with(kernel, calibration, &loose, capacity).bins);
+        kept.extend(alg.pack(&loose, capacity).bins);
     }
     stats.bins_after = kept.len() as u64;
     (
@@ -616,13 +603,7 @@ mod tests {
         let its = Item::from_sizes(&[900, 100, 10, 2000]);
         let p = Algorithm::FirstFit.pack(&its, 1000);
         assert_eq!(p.len(), 3); // [900,100] | [10] | [2000]
-        let (compacted, stats) = compact_underfull(
-            Algorithm::FirstFit,
-            Kernel::Auto,
-            &Calibration::DEFAULT,
-            p,
-            0.5,
-        );
+        let (compacted, stats) = compact_underfull(Algorithm::FirstFit, p, 0.5);
         assert_eq!(stats.bins_before, 3);
         assert_eq!(stats.rewritten_bins, 1);
         assert_eq!(stats.rewritten_bytes, 10);
@@ -636,13 +617,7 @@ mod tests {
         let its = Item::from_sizes(&[500, 500, 500, 500]);
         let p = Algorithm::FirstFit.pack(&its, 1000);
         let before = p.clone();
-        let (after, stats) = compact_underfull(
-            Algorithm::FirstFit,
-            Kernel::Auto,
-            &Calibration::DEFAULT,
-            p,
-            0.9,
-        );
+        let (after, stats) = compact_underfull(Algorithm::FirstFit, p, 0.9);
         assert_eq!(after, before);
         assert_eq!(stats.rewritten_bins, 0);
         assert_eq!(stats.bins_before, stats.bins_after);

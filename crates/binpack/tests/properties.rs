@@ -3,11 +3,10 @@
 //! order/derivation laws.
 
 use binpack::{
-    best_fit, check_k_packing, check_packing, check_packing_with, derive_merged,
-    derive_probe_chain, derive_probe_chain_par, first_fit, naive_best_fit, naive_first_fit,
-    naive_subset_sum_first_fit, naive_uniform_k_bins, pack_sharded, rebalance_uniform,
-    replay_deterministic, subset_sum_first_fit, uniform_k_bins, Algorithm, Calibration,
-    CheckOptions, Item, Kernel, MergePolicy, Parallelism, ShardedConfig,
+    best_fit, check_k_packing, check_packing, check_packing_with, derive_merged, first_fit,
+    naive_best_fit, naive_first_fit, naive_subset_sum_first_fit, naive_uniform_k_bins,
+    pack_sharded, rebalance_uniform, replay_deterministic, subset_sum_first_fit, uniform_k_bins,
+    Algorithm, CheckOptions, Item, MergePolicy, Parallelism, ShardedConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -188,52 +187,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn parallel_chain_equals_sequential(
-        items in arb_items(),
-        cap in 1u64..2_000,
-        factors in prop::collection::vec(1usize..16, 0..8),
-    ) {
-        let base = subset_sum_first_fit(&items, cap);
-        let seq = derive_probe_chain(&base, &factors);
-        for par in [Parallelism::Sequential, Parallelism::Rayon(0), Parallelism::Rayon(4)] {
-            prop_assert_eq!(
-                &seq,
-                &derive_probe_chain_par(&base, &factors, par),
-                "parallel chain diverged under {:?}", par
-            );
-        }
-    }
-
-    // Dispatch properties: Kernel::Auto must equal whichever kernel it
-    // dispatches to — and since fast ≡ naive (above), all three kernels
-    // agree for every calibration, including thresholds that flip the
-    // dispatch decision mid-range.
-
-    #[test]
-    fn auto_equals_dispatched_kernel_for_any_threshold(
-        items in arb_items(),
-        cap in 1u64..2_000,
-        threshold in prop::sample::select(vec![0usize, 50, 100, 1_000, usize::MAX]),
-    ) {
-        let cal = Calibration {
-            subset_sum_first_fit: threshold,
-            first_fit: threshold,
-            best_fit: threshold,
-        };
-        for alg in Algorithm::ALL {
-            let auto = alg.pack_with(Kernel::Auto, &cal, &items, cap);
-            let expected = alg.pack_with(cal.resolve(alg, items.len()), &cal, &items, cap);
-            prop_assert_eq!(&auto, &expected, "{:?} auto != dispatched at t={}", alg, threshold);
-            let naive = alg.pack_with(Kernel::Naive, &cal, &items, cap);
-            let fast = alg.pack_with(Kernel::Fast, &cal, &items, cap);
-            prop_assert_eq!(&naive, &fast, "{:?} kernels disagree", alg);
-            if let Err(v) = check_packing(&items, &auto) {
-                prop_assert!(false, "{:?} sanitizer: {v}", alg);
-            }
-        }
-    }
-
     // Sharded parallel pack properties: the output must be a pure function
     // of (algorithm, items, capacity, config) — independent of the worker
     // count — valid under the sanitizer, and equal to the plain sequential
@@ -338,13 +291,7 @@ proptest! {
             let p = alg.pack(&items, cap);
             let (before_bytes, before_members) =
                 (p.total_size(), multiset(p.bins.iter().flat_map(|b| b.items.iter().copied())));
-            let (after, stats) = binpack::compact_underfull(
-                alg,
-                Kernel::Auto,
-                &Calibration::DEFAULT,
-                p,
-                min_fill,
-            );
+            let (after, stats) = binpack::compact_underfull(alg, p, min_fill);
             prop_assert_eq!(after.total_size(), before_bytes, "{:?} changed bytes", alg);
             let after_members =
                 multiset(after.bins.iter().flat_map(|b| b.items.iter().copied()));

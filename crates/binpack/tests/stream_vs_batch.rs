@@ -3,21 +3,20 @@
 //! where the theory says it must (flush-only sealing, and sealing at shard
 //! boundaries), and must stay a valid byte-conserving packing under every
 //! other documented sealing policy (bin-full, age-based). Every property
-//! runs 256 cases over every `Algorithm` × `Kernel` × `MergePolicy`.
+//! runs 256 cases over every `Algorithm` × `MergePolicy`.
 //!
 //! The two exact equivalences (DESIGN.md §14):
 //!
-//! 1. flush-only streaming ≡ batch `pack_with` — same bins, same order;
+//! 1. flush-only streaming ≡ batch `Algorithm::pack` — same bins, same order;
 //! 2. `seal_now` at `shard_ranges(n, k)` boundaries ≡ `pack_sharded` with
 //!    `ShardedConfig { shards: k, merge }`.
 
 use binpack::{
-    check_packing_with, pack_sharded, shard_ranges, Algorithm, Calibration, CheckOptions, Item,
-    Kernel, MergePolicy, Parallelism, SealPolicy, ShardedConfig, StreamConfig, StreamPacker,
+    check_packing_with, pack_sharded, shard_ranges, Algorithm, CheckOptions, Item, MergePolicy,
+    Parallelism, SealPolicy, ShardedConfig, StreamConfig, StreamPacker,
 };
 use proptest::prelude::*;
 
-const KERNELS: [Kernel; 3] = [Kernel::Naive, Kernel::Fast, Kernel::Auto];
 const MERGES: [MergePolicy; 2] = [MergePolicy::Concat, MergePolicy::RepackTails];
 
 fn arb_items() -> impl Strategy<Value = Vec<Item>> {
@@ -37,18 +36,10 @@ fn check(items: &[Item], packing: &binpack::Packing, what: &str) {
     .unwrap_or_else(|v| panic!("{what}: invalid packing: {v:?}"));
 }
 
-fn stream_config(
-    alg: Algorithm,
-    kernel: Kernel,
-    merge: MergePolicy,
-    seal: SealPolicy,
-    cap: u64,
-) -> StreamConfig {
+fn stream_config(alg: Algorithm, merge: MergePolicy, seal: SealPolicy, cap: u64) -> StreamConfig {
     StreamConfig {
         capacity: cap,
         algorithm: alg,
-        kernel,
-        calibration: Calibration::DEFAULT,
         seal,
         merge,
     }
@@ -58,32 +49,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Sealing policy "corpus-end flush": streaming with no early seals is
-    /// the batch pack, bit for bit, under every algorithm, kernel and merge
-    /// policy (the merge policy must be invisible with one segment).
+    /// the batch pack, bit for bit, under every algorithm and merge policy
+    /// (the merge policy must be invisible with one segment).
     #[test]
     fn flush_only_streaming_equals_batch(items in arb_items(), cap in 1u64..2_000) {
         for alg in Algorithm::ALL {
-            let batch = alg.pack_with(Kernel::Auto, &Calibration::DEFAULT, &items, cap);
-            for kernel in KERNELS {
-                for merge in MERGES {
-                    let mut p = StreamPacker::new(stream_config(
-                        alg, kernel, merge, SealPolicy::flush_only(), cap,
-                    ));
-                    for (i, it) in items.iter().enumerate() {
-                        p.admit(*it, i as f64);
-                    }
-                    let out = p.finish(items.len() as f64);
-                    prop_assert_eq!(
-                        &out.packing, &batch,
-                        "{:?}/{:?}/{:?} flush-only stream diverged from batch",
-                        alg, kernel, merge
-                    );
-                    if !items.is_empty() {
-                        prop_assert_eq!(out.stats.sealed_segments, 1);
-                        prop_assert_eq!(out.stats.seals_flush, 1);
-                    }
-                    check(&items, &out.packing, "flush-only");
+            let batch = alg.pack(&items, cap);
+            for merge in MERGES {
+                let mut p = StreamPacker::new(stream_config(
+                    alg, merge, SealPolicy::flush_only(), cap,
+                ));
+                for (i, it) in items.iter().enumerate() {
+                    p.admit(*it, i as f64);
                 }
+                let out = p.finish(items.len() as f64);
+                prop_assert_eq!(
+                    &out.packing, &batch,
+                    "{:?}/{:?} flush-only stream diverged from batch",
+                    alg, merge
+                );
+                if !items.is_empty() {
+                    prop_assert_eq!(out.stats.sealed_segments, 1);
+                    prop_assert_eq!(out.stats.seals_flush, 1);
+                }
+                check(&items, &out.packing, "flush-only");
             }
         }
     }
@@ -107,7 +96,7 @@ proptest! {
                     Parallelism::Sequential,
                 );
                 let mut p = StreamPacker::new(stream_config(
-                    alg, Kernel::Auto, merge, SealPolicy::flush_only(), cap,
+                    alg, merge, SealPolicy::flush_only(), cap,
                 ));
                 for (i, (lo, hi)) in shard_ranges(items.len(), shards).into_iter().enumerate() {
                     for it in &items[lo..hi] {
@@ -138,7 +127,7 @@ proptest! {
             for merge in MERGES {
                 let run = || {
                     let mut p = StreamPacker::new(stream_config(
-                        alg, Kernel::Auto, merge, SealPolicy::bin_full(threshold), cap,
+                        alg, merge, SealPolicy::bin_full(threshold), cap,
                     ));
                     for (i, it) in items.iter().enumerate() {
                         p.admit(*it, i as f64);
@@ -170,7 +159,7 @@ proptest! {
             for merge in MERGES {
                 let run = || {
                     let mut p = StreamPacker::new(stream_config(
-                        alg, Kernel::Auto, merge, SealPolicy::aged(age_limit as f64), cap,
+                        alg, merge, SealPolicy::aged(age_limit as f64), cap,
                     ));
                     let mut now = 0.0f64;
                     for (i, it) in items.iter().enumerate() {
@@ -203,7 +192,7 @@ proptest! {
         };
         for merge in MERGES {
             let mut p = StreamPacker::new(stream_config(
-                Algorithm::SubsetSumFirstFit, Kernel::Auto, merge, seal, cap,
+                Algorithm::SubsetSumFirstFit, merge, seal, cap,
             ));
             for (i, it) in items.iter().enumerate() {
                 p.admit(*it, (i as f64) * 0.5);

@@ -129,14 +129,8 @@ pub fn reshape_streaming(
     let packing = match config.compact_min_fill {
         None => packing,
         Some(min_fill) => {
-            let cfg = StreamConfig::new(target);
-            let (compacted, cstats) = compact_underfull(
-                cfg.algorithm,
-                cfg.kernel,
-                &cfg.calibration,
-                packing,
-                min_fill,
-            );
+            let (compacted, cstats) =
+                compact_underfull(StreamConfig::new(target).algorithm, packing, min_fill);
             obs.count("ingest.compacted_bins", cstats.rewritten_bins);
             obs.count("ingest.compacted_bytes", cstats.rewritten_bytes);
             compacted

@@ -1,15 +1,15 @@
 //! The reshape step: merge a corpus's files into unit files of the chosen
 //! size with subset-sum first fit.
 //!
-//! The packing route is size-adaptive (see [`pack_for_reshape`]): small
-//! manifests take the single-shot [`Kernel::Auto`] kernel, manifests at or
-//! above [`PAR_PACK_MIN_ITEMS`] take the sharded parallel pack with a fixed
-//! shard count — so the packing is a pure function of the manifest and unit
-//! size, never of the host's core count or the [`Parallelism`] setting.
+//! The packing route depends on the manifest size (see
+//! [`pack_for_reshape`]): smaller manifests take one single-shot pack,
+//! manifests at or above [`PAR_PACK_MIN_ITEMS`] take the sharded parallel
+//! pack with a fixed shard count — so the packing is a pure function of the
+//! manifest and unit size, never of the host's core count or the
+//! [`Parallelism`] setting.
 
 use binpack::{
-    pack_sharded, Algorithm, Calibration, Item, Kernel, MergePolicy, Packing, PackingStats,
-    Parallelism, ShardedConfig,
+    pack_sharded, Algorithm, Item, MergePolicy, Packing, PackingStats, Parallelism, ShardedConfig,
 };
 use corpus::{FileSpec, Manifest};
 use perfmodel::UnitSize;
@@ -17,8 +17,10 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Manifests with at least this many files take the sharded parallel pack;
-/// smaller ones take the single-shot adaptive kernel. Chosen well above the
-/// measured kernel crossovers so sharding overhead never dominates.
+/// smaller ones take one single-shot pack. A single-shot subset-sum first
+/// fit of 10⁵ corpus-shaped items takes about 30 ms
+/// (`results/BENCH_packing.json`), so below this size sharding has little
+/// time to save and would only add part-filled bins at the shard cuts.
 pub const PAR_PACK_MIN_ITEMS: usize = 65_536;
 
 /// Shard count for the parallel reshape pack. Fixed (not derived from the
@@ -26,14 +28,14 @@ pub const PAR_PACK_MIN_ITEMS: usize = 65_536;
 /// — is byte-identical across machines and thread counts.
 pub const RESHAPE_PACK_SHARDS: usize = 16;
 
-/// The packing route every reshape uses: subset-sum first fit, adaptive
-/// kernel below [`PAR_PACK_MIN_ITEMS`], sharded parallel pack (fixed
-/// [`RESHAPE_PACK_SHARDS`] shards, tail-repack merge) at or above it.
+/// The packing route every reshape uses: subset-sum first fit, one
+/// single-shot pack below [`PAR_PACK_MIN_ITEMS`], sharded parallel pack
+/// (fixed [`RESHAPE_PACK_SHARDS`] shards, tail-repack merge) at or above it.
 /// `parallelism` only controls how many workers pack shards; the output
 /// depends solely on `items` and `target`.
 pub fn pack_for_reshape(items: &[Item], target: u64, parallelism: Parallelism) -> Packing {
     if items.len() < PAR_PACK_MIN_ITEMS {
-        Algorithm::SubsetSumFirstFit.pack_with(Kernel::Auto, &Calibration::DEFAULT, items, target)
+        Algorithm::SubsetSumFirstFit.pack(items, target)
     } else {
         pack_sharded(
             Algorithm::SubsetSumFirstFit,

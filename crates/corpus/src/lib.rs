@@ -22,6 +22,7 @@
 mod arrival;
 mod books;
 mod dist;
+pub mod hash;
 mod hist;
 mod manifest;
 mod presets;

@@ -34,6 +34,7 @@
 use crate::billing::billed_hours;
 use crate::transfer::TransferPricing;
 use crate::types::AvailabilityZone;
+use corpus::hash::{fnv1a, splitmix64};
 use serde::{Deserialize, Serialize};
 
 /// Which data-sharing backend a shuffle moves its partials through.
@@ -157,23 +158,6 @@ pub struct TransferReceipt {
     /// Transfer dollars: request cost plus cross-AZ per-GB when the zones
     /// differ (SharedFs server hours are accounted separately, per window).
     pub cost: f64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A per-backend transfer scheduler: assigns each request to a stream,

@@ -9,6 +9,7 @@
 //! `k`: same seed ⇒ byte-identical path, and reading a prefix of the path
 //! never perturbs the rest.
 
+use corpus::hash::{fnv1a, splitmix64};
 use ec2sim::{FamilyId, FaultEvent, FaultKind, FaultPlan, InstanceFamily};
 use serde::Serialize;
 
@@ -18,22 +19,6 @@ pub const SPOT_STEP_SECS: f64 = 300.0;
 /// Per-step mean-reversion strength: a jump decays back toward the mean
 /// over roughly `1 / THETA` steps (~an hour at the default resolution).
 const THETA: f64 = 0.12;
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Uniform in [0, 1) from the high 53 bits of a counter hash.
 fn unit(x: u64) -> f64 {

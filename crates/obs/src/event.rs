@@ -166,7 +166,9 @@ pub enum EventKind {
 /// Deterministic run identifier: a splitmix64 scramble of the seed,
 /// rendered as 16 hex digits. Pure function of the seed, so same-seed runs
 /// share the id (that is the point: the id names the *reproducible run*,
-/// not the invocation).
+/// not the invocation). `obs` depends on no workspace crate, so it keeps
+/// its own splitmix64; the workspace test `seeded_hashes` pins it to
+/// `corpus::hash::splitmix64`.
 pub fn run_id_from_seed(seed: u64) -> String {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

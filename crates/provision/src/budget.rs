@@ -2,7 +2,7 @@
 //!
 //! The paper minimizes cost subject to a deadline; the cited follow-on
 //! work (Oprescu & Kielmann's bag-of-tasks scheduling under budget
-//! constraints, ref [14]) flips it: minimize the makespan subject to a
+//! constraints, ref \[14\]) flips it: minimize the makespan subject to a
 //! dollar budget. Under flat-rate pricing both reduce to choosing the
 //! fleet size `i`: makespan is `f(V/i)` and cost is
 //! `i · ⌈f(V/i)/3600⌉ · r`, so an exhaustive sweep over `i` is exact.

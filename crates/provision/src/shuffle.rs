@@ -842,7 +842,7 @@ fn execute_partitioned(
         preemptions: st.preemptions,
         replacements: st.replacements,
         instance_hours: st.hours,
-        compute_cost: st.hours as f64 * cfg.exec.pricing.hourly_rate,
+        compute_cost: st.hours as f64 * cfg.exec.hourly_rate(),
         transfer_cost: engine.total_cost(),
         reduce_outputs,
         result,

@@ -2,7 +2,7 @@
 //! "A direction for our future research is also to devise good execution
 //! plans for more complex workflows arising in text processing. We can
 //! schedule such workflows while making sure we assign full hour
-//! subdeadlines to groups of tasks [22]."
+//! subdeadlines to groups of tasks \[22\]."
 //!
 //! A workflow is a linear chain of stages (e.g. tokenize → tag → grep the
 //! tags); each stage has its own performance model and a volume factor

@@ -6,7 +6,9 @@
 
 use binpack::Parallelism;
 use corpus::FileSpec;
-use ec2sim::{Cloud, CloudConfig, FaultEvent, FaultKind, FaultPlan, SharingBackend};
+use ec2sim::{
+    Cloud, CloudConfig, FaultEvent, FaultKind, FaultPlan, InstanceFamily, SharingBackend,
+};
 use obs::Obs;
 use perfmodel::{fit as fit_model, Fit, ModelKind};
 use provision::{
@@ -201,4 +203,33 @@ fn one_map_pass_pipeline_equals_plan_then_execute() {
             assert_eq!(fused_log, obs.to_ndjson(), "{kind:?}: logs differ");
         }
     }
+}
+
+/// With an instance family set, the map and reduce instances launch at
+/// the family's rate, so the report's fleet dollars must be what the
+/// cloud's ledger billed, not the flat pricing-model rate.
+#[test]
+fn compute_cost_bills_the_family_rate() {
+    let files = corpus::text_400k(0.001, 5).files;
+    // About 150 s fixed plus 1e-4 s per byte, ±2 %: spreads the map phase
+    // over several instances against the 300 s deadline.
+    let xs: Vec<f64> = (1..=20).map(|i| i as f64 * 100_000.0).collect();
+    let ys: Vec<f64> = xs
+        .iter()
+        .enumerate()
+        .map(|(k, &x)| (150.0 + 1.0e-4 * x) * if k % 2 == 0 { 1.02 } else { 0.98 })
+        .collect();
+    let fit = fit_model(ModelKind::Affine, &xs, &ys);
+    let mut cfg = ShuffleConfig::default();
+    cfg.exec.family = Some(InstanceFamily::hi_cpu());
+    let mut cloud = Cloud::new(CloudConfig::default());
+    let agg = execute_aggregation_observed(&mut cloud, &cfg, &files, &fit, 300.0, &Obs::default())
+        .unwrap();
+    let billed = cloud.ledger().total_cost();
+    assert!(billed > 0.0);
+    assert!(
+        (agg.exec.compute_cost - billed).abs() < 1e-9,
+        "report bills ${:.4}, the ledger ${billed:.4}",
+        agg.exec.compute_cost
+    );
 }

@@ -100,20 +100,11 @@ pub fn merge_partials(kind: AggKind, acc: &mut Partial, other: &Partial) {
     }
 }
 
-/// FNV-1a of a term — the shuffle partitioner. Pure, so the key→reducer
-/// assignment is identical on every worker and every run.
-fn fnv1a(term: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in term.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// The reduce bin a term belongs to, out of `reduce_bins`.
+/// The reduce bin a term belongs to, out of `reduce_bins`: FNV-1a of the
+/// term's bytes. Pure, so the key→reducer assignment is identical on every
+/// worker and every run.
 pub fn partition(term: &str, reduce_bins: usize) -> usize {
-    (fnv1a(term) % reduce_bins.max(1) as u64) as usize
+    (corpus::hash::fnv1a(term.as_bytes()) % reduce_bins.max(1) as u64) as usize
 }
 
 /// Split one partial into per-reducer partials by [`partition`].

@@ -2,11 +2,11 @@
 # Full verification gate: build, lint, format, and test the workspace.
 #
 #   scripts/verify.sh          # everything
-#   scripts/verify.sh --fast   # skip clippy + fmt + reshape-lint (tier-1 only)
+#   scripts/verify.sh --fast   # skip clippy + fmt + reshape-lint + rustdoc (tier-1 only)
 #
 # Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`; this
-# script runs that plus workspace-wide tests, rustfmt and clippy so a clean
-# run here implies a clean CI run.
+# script runs that plus workspace-wide tests, rustfmt, clippy and rustdoc so
+# a clean run here implies a clean CI run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,10 @@ if [[ $fast -eq 0 ]]; then
   # The analyzer prints its own wall time on the summary line.
   echo "==> reshape-lint (ratchet vs results/LINT_baseline.json, writes results/LINT.json + results/LINT.sarif)"
   cargo run --release -q -p lint -- --baseline results/LINT_baseline.json --sarif results/LINT.sarif
+  # Rustdoc with warnings denied: a doc link to a deleted or private item
+  # fails here instead of dangling.
+  echo "==> cargo doc (workspace, -D warnings)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 fi
 
 echo "==> cargo test -q (tier-1)"
@@ -52,9 +56,9 @@ if [[ $fast -eq 0 ]]; then
   # same-seed logs, then persists the throughput/savings report CI uploads.
   echo "==> sched report (writes results/SCHED_throughput.json)"
   SMOKE=1 cargo run --release -q -p bench --bin sched_report
-  # Packing-kernel perf gate: times fast/auto vs naive at smoke sizes,
-  # fails if any fast kernel regresses past 1.5x naive above its calibrated
-  # threshold, and persists the report CI uploads.
+  # Packing-kernel perf gate: times each fast kernel against its naive
+  # reference at smoke sizes, fails if one is more than 1.5x slower at
+  # 32,768 items or more, and persists the report CI uploads.
   echo "==> perf gate (writes results/BENCH_packing_smoke.json)"
   SMOKE=1 cargo run --release -q -p bench --bin perf_report -- --gate
   # Streaming-ingest smoke: replays the seeded arrival trace under each

@@ -1,13 +1,11 @@
 //! Boundary pins for the size-adaptive reshape pack route: manifests of
 //! `PAR_PACK_MIN_ITEMS - 1`, exactly `PAR_PACK_MIN_ITEMS`, and
 //! `PAR_PACK_MIN_ITEMS + 1` items must take the documented route (single-
-//! shot adaptive kernel below the threshold, fixed-shard parallel pack at
+//! shot pack below the threshold, fixed-shard parallel pack at
 //! or above it), conserve every byte, and stay independent of the
 //! `Parallelism` setting on both sides of the switch.
 
-use binpack::{
-    pack_sharded, Algorithm, Calibration, Item, Kernel, MergePolicy, Parallelism, ShardedConfig,
-};
+use binpack::{pack_sharded, Algorithm, Item, MergePolicy, Parallelism, ShardedConfig};
 use reshape::{pack_for_reshape, PAR_PACK_MIN_ITEMS, RESHAPE_PACK_SHARDS};
 
 const TARGET: u64 = 10_000;
@@ -22,8 +20,7 @@ fn items(n: usize) -> Vec<Item> {
 fn below_threshold_takes_the_single_shot_route() {
     let items = items(PAR_PACK_MIN_ITEMS - 1);
     let got = pack_for_reshape(&items, TARGET, Parallelism::Sequential);
-    let single =
-        Algorithm::SubsetSumFirstFit.pack_with(Kernel::Auto, &Calibration::DEFAULT, &items, TARGET);
+    let single = Algorithm::SubsetSumFirstFit.pack(&items, TARGET);
     assert_eq!(got, single, "65 535 items must take the single-shot kernel");
 }
 

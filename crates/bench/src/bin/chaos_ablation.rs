@@ -9,7 +9,7 @@
 //! lands at `results/CHAOS_seed<N>.json`. `--smoke` / `SMOKE=1` shrinks
 //! the trial count.
 
-use bench::{smoke, Table, RESULTS_DIR};
+use bench::{smoke, write_json, Table};
 use corpus::FileSpec;
 use ec2sim::{Cloud, CloudConfig, DataLocation, FaultConfig, FaultPlan, InstanceType, NoiseModel};
 use perfmodel::{fit, Fit, ModelKind};
@@ -220,10 +220,5 @@ fn main() {
         retry: RetryPolicy::default(),
         strategies: summaries,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let path = dir.join(format!("CHAOS_seed{seed}.json"));
-    std::fs::write(&path, json + "\n").expect("write chaos report");
-    println!("[json] {}", path.display());
+    write_json(&format!("CHAOS_seed{seed}"), &report);
 }

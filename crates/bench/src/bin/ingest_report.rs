@@ -11,7 +11,7 @@
 //!
 //! `--smoke` / `SMOKE=1` shrinks the corpus for CI-speed runs.
 
-use bench::{fmt_bytes, smoke, Table, RESULTS_DIR};
+use bench::{fmt_bytes, smoke, write_json, Table};
 use binpack::{MergePolicy, SealPolicy};
 use corpus::{ArrivalConfig, ArrivalOrder};
 use obs::Obs;
@@ -216,10 +216,5 @@ fn main() {
         replay_byte_identical: identical,
         policies: rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let path = dir.join("BENCH_ingest.json");
-    std::fs::write(&path, json + "\n").expect("write BENCH_ingest.json");
-    println!("[json] {}", path.display());
+    write_json("BENCH_ingest", &report);
 }

@@ -19,7 +19,7 @@
 //!
 //! `--smoke` / `SMOKE=1` shrinks the sweep for CI-speed runs.
 
-use bench::{smoke, Table, RESULTS_DIR};
+use bench::{smoke, write_json, Table};
 use corpus::FileSpec;
 use ec2sim::{AvailabilityZone, Cloud, CloudConfig, DataLocation, InstanceType, NoiseModel};
 use market::{
@@ -292,10 +292,5 @@ fn main() {
         frontier,
         execution,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let path = dir.join("BENCH_market.json");
-    std::fs::write(&path, json + "\n").expect("write BENCH_market.json");
-    println!("[json] {}", path.display());
+    write_json("BENCH_market", &report);
 }

@@ -11,7 +11,7 @@
 //!
 //! `--smoke` / `SMOKE=1` shrinks the corpus for CI-speed runs.
 
-use bench::{smoke, Table, RESULTS_DIR};
+use bench::{smoke, write_json, Table};
 use obs::{MetricsSnapshot, Obs};
 use reshape::{App, Pipeline, PipelineConfig, ProbeCampaign, Workload};
 use serde::Serialize;
@@ -117,10 +117,5 @@ fn main() {
         phases,
         snapshot,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let path = dir.join("OBS_phase_breakdown.json");
-    std::fs::write(&path, json + "\n").expect("write OBS_phase_breakdown.json");
-    println!("[json] {}", path.display());
+    write_json("OBS_phase_breakdown", &report);
 }

@@ -22,7 +22,7 @@
 //! for the sequential kernel entries and the real worker count for the
 //! sharded entries.
 
-use bench::{smoke, Table, RESULTS_DIR};
+use bench::{smoke, write_json, Table, RESULTS_DIR};
 use binpack::{
     best_fit, first_fit, merge_shard_packings, naive_best_fit, naive_first_fit,
     naive_subset_sum_first_fit, pack_sharded, subset_sum_first_fit, Algorithm, Item, MergePolicy,
@@ -159,15 +159,6 @@ fn rounds_for(n: usize) -> (usize, usize) {
 
 fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
-}
-
-fn write_json<T: Serialize>(name: &str, value: &T) {
-    let json = serde_json::to_string_pretty(value).expect("report serializes");
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let path = dir.join(name);
-    std::fs::write(&path, json + "\n").expect("write result json");
-    println!("[json] {}", path.display());
 }
 
 /// Sequential kernel sweep: naive vs fast per size.
@@ -399,14 +390,8 @@ fn main() {
         entries,
         parallel,
     };
-    // Smoke runs (the verify/CI gate) write to a sibling file so they never
-    // clobber the committed full-scale report with its 18M-item entries.
-    let report_name = if smoke() {
-        "BENCH_packing_smoke.json"
-    } else {
-        "BENCH_packing.json"
-    };
-    write_json(report_name, &report);
+    // Smoke runs (the verify/CI gate) write `BENCH_packing_smoke.json`.
+    write_json("BENCH_packing", &report);
 
     if gate {
         match run_gate(&report.entries) {

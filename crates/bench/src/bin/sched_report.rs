@@ -11,7 +11,7 @@
 //!
 //! `--smoke` / `SMOKE=1` shrinks the trace for CI-speed runs.
 
-use bench::{smoke, Table, RESULTS_DIR};
+use bench::{smoke, write_json, Table};
 use ec2sim::CloudConfig;
 use obs::Obs;
 use sched::{run_trace, PoolConfig, SchedConfig, SchedReport, TraceConfig};
@@ -166,10 +166,5 @@ fn main() {
         log_byte_identical_across_runs: identical,
         seeds: rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let path = dir.join("SCHED_throughput.json");
-    std::fs::write(&path, json + "\n").expect("write SCHED_throughput.json");
-    println!("[json] {}", path.display());
+    write_json("SCHED_throughput", &report);
 }

@@ -14,7 +14,7 @@
 //! `--smoke` / `SMOKE=1` shrinks the end-to-end corpus; the planner
 //! sweep is pure arithmetic and runs at full size everywhere.
 
-use bench::{fmt_bytes, smoke, Table, RESULTS_DIR};
+use bench::{fmt_bytes, smoke, write_json, Table};
 use corpus::FileSpec;
 use ec2sim::{AvailabilityZone, Cloud, CloudConfig, SharingBackend};
 use obs::Obs;
@@ -245,10 +245,5 @@ fn main() {
         planned_total_cost: agg.exec.total_cost(),
         executions,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let path = dir.join("BENCH_shuffle.json");
-    std::fs::write(&path, json + "\n").expect("write BENCH_shuffle.json");
-    println!("[json] {}", path.display());
+    write_json("BENCH_shuffle", &report);
 }

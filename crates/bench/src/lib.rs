@@ -4,7 +4,8 @@
 //! paper: it prints an aligned ASCII table of the same series the paper
 //! plots and writes a CSV under `results/`. Pass `--smoke` (or set
 //! `SMOKE=1`) to shrink scales for CI-speed runs; the shapes survive, the
-//! resolution drops.
+//! resolution drops, and every artifact goes to a `<stem>_smoke.*` sibling
+//! so a smoke run never overwrites a committed full-size result.
 
 #![forbid(unsafe_code)]
 
@@ -24,6 +25,24 @@ pub const RESULTS_DIR: &str = "results";
 /// environment variable).
 pub fn smoke() -> bool {
     std::env::args().any(|a| a == "--smoke") || std::env::var("SMOKE").is_ok()
+}
+
+/// `results/<stem>.<ext>`, or `results/<stem>_smoke.<ext>` under
+/// [`smoke`]; creates the directory.
+fn result_path(stem: &str, ext: &str) -> std::io::Result<PathBuf> {
+    let dir = PathBuf::from(RESULTS_DIR);
+    std::fs::create_dir_all(&dir)?;
+    let suffix = if smoke() { "_smoke" } else { "" };
+    Ok(dir.join(format!("{stem}{suffix}.{ext}")))
+}
+
+/// Write `value` as pretty-printed JSON to `results/<stem>.json` (the
+/// `_smoke` sibling under [`smoke`]) and print the path.
+pub fn write_json<T: serde::Serialize>(stem: &str, value: &T) {
+    let json = serde_json::to_string_pretty(value).expect("report serializes");
+    let path = result_path(stem, "json").expect("results dir");
+    std::fs::write(&path, json + "\n").expect("write result json");
+    println!("[json] {}", path.display());
 }
 
 /// An ASCII table that can also persist itself as CSV.
@@ -86,11 +105,9 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Write `results/<name>.csv`.
+    /// Write `results/<name>.csv` (the `_smoke` sibling under [`smoke`]).
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from(RESULTS_DIR);
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.csv"));
+        let path = result_path(name, "csv")?;
         let mut f = std::fs::File::create(&path)?;
         writeln!(f, "{}", self.headers.join(","))?;
         for row in &self.rows {

@@ -16,8 +16,8 @@ use perfmodel::{
     UnitSize,
 };
 use provision::{
-    execute_plan_observed, execute_plan_resilient_observed, make_plan, DegradedReport,
-    ExecutionConfig, ExecutionReport, RetryPolicy, StagingTier, Strategy,
+    execute_plan_resilient_sourced, make_plan, DegradedReport, ExecutionConfig, ExecutionReport,
+    FreshFleet, RetryPolicy, StagingTier, Strategy,
 };
 use serde::{Deserialize, Serialize};
 
@@ -432,22 +432,17 @@ impl Pipeline {
         // The executor emits the `pipeline.execute` span itself: the fleet
         // runs on per-instance event timelines, and only the executor knows
         // the last simulated finish time.
-        let (execution, degraded) = if self.config.faults.is_some() {
-            let report = execute_plan_resilient_observed(
-                &mut cloud,
-                &plan,
-                model,
-                &exec_cfg,
-                &self.config.retry,
-                obs,
-            )?;
-            (report.execution.clone(), Some(report))
-        } else {
-            (
-                execute_plan_observed(&mut cloud, &plan, model, &exec_cfg, obs)?,
-                None,
-            )
-        };
+        let report = execute_plan_resilient_sourced(
+            &mut cloud,
+            &plan,
+            model,
+            &exec_cfg,
+            &self.config.retry,
+            &mut FreshFleet,
+            obs,
+        )?;
+        let execution = report.execution.clone();
+        let degraded = self.config.faults.is_some().then_some(report);
 
         Ok(PipelineReport {
             unit,

@@ -6,7 +6,7 @@
 //! nature of EBS storage volumes ... replacing poorly performing instances
 //! can be done easily without explicit data transfers."
 
-use crate::executor::{ExecutionConfig, ExecutionReport, InstanceRun};
+use crate::executor::{acquire_instance, ExecutionConfig, ExecutionReport, InstanceRun};
 use crate::plan::Plan;
 use crate::pricing::instance_hours;
 use ec2sim::{Cloud, CloudError, DataLocation};
@@ -121,9 +121,9 @@ pub fn execute_dynamic(
     for share in &plan.instances {
         // Stage the whole share on one persistent volume.
         let vol = cloud.create_volume(cfg.zone, share.volume.max(1));
-        let mut inst = cloud.launch(cfg.itype, cfg.zone)?;
-        let mut t = cloud.running_at(inst)? + attach;
-        cloud.attach_volume_at(vol, inst, t - attach)?;
+        let (mut inst, ready) = acquire_instance(cloud, cfg)?;
+        let mut t = ready + attach;
+        cloud.attach_volume_at(vol, inst, ready)?;
         let t_job_start = t;
         let mut replacements = 0usize;
         let mut done_bytes = 0u64;
@@ -155,8 +155,8 @@ pub fn execute_dynamic(
                 // the volume — no data transfer (the EBS persistence
                 // argument of §7).
                 cloud.terminate_at(inst, t)?;
-                inst = cloud.launch(cfg.itype, cfg.zone)?;
-                let boot = cloud.running_at(inst)?;
+                let (next, boot) = acquire_instance(cloud, cfg)?;
+                inst = next;
                 t = t.max(boot) + attach;
                 cloud.attach_volume_at(vol, inst, t - attach)?;
                 replacements += 1;
@@ -175,18 +175,9 @@ pub fn execute_dynamic(
         });
     }
 
-    let makespan_secs = runs.iter().map(|r| r.job_secs).fold(0.0, f64::max);
-    let misses = runs.iter().filter(|r| !r.met_deadline).count();
-    let hours: u64 = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
+    let hours = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
     Ok(DynamicReport {
-        execution: ExecutionReport {
-            deadline_secs: plan.deadline_secs,
-            makespan_secs,
-            misses,
-            instance_hours: hours,
-            cost: hours as f64 * cfg.pricing.hourly_rate,
-            runs,
-        },
+        execution: ExecutionReport::summarize(runs, plan.deadline_secs, 0, hours, cfg),
         replacements: replacements_total,
     })
 }

@@ -2,8 +2,17 @@
 //! parallel, with data staged on EBS (the grep setup: "the data is already
 //! staged onto EBS storage volumes") or local storage (the POS setup:
 //! "staged onto local storage in a constant time per run").
+//!
+//! Every share of every fleet run — each executor entry point here and the
+//! map phase of [`crate::shuffle`] — runs through one share attempt: it
+//! stages the data, backs off transient errors, submits the job and, when
+//! the cloud kills the instance, bills the dead attempt and requeues the
+//! whole bin on a replacement, all bounded by a [`RetryPolicy`]. On a
+//! fault-free cloud none of the recovery fires, so the static entry points
+//! ([`execute_plan`], [`execute_plan_observed`]) are the resilient executor
+//! with a fresh fleet and the default policy.
 
-use crate::plan::Plan;
+use crate::plan::{InstancePlan, Plan};
 use crate::pricing::{instance_hours, PricingModel};
 use corpus::FileSpec;
 use ec2sim::{screen_at, Cloud, CloudError, DataLocation, InstanceId, RunReport, ScreeningPolicy};
@@ -115,6 +124,25 @@ impl ExecutionReport {
     pub fn met_deadline(&self) -> bool {
         self.misses == 0
     }
+
+    /// The fleet summary of `runs` billed `hours` instance-hours at `cfg`'s
+    /// rate; `failed` shares that never completed also count as misses.
+    pub(crate) fn summarize(
+        runs: Vec<InstanceRun>,
+        deadline_secs: f64,
+        failed: usize,
+        hours: u64,
+        cfg: &ExecutionConfig,
+    ) -> Self {
+        ExecutionReport {
+            deadline_secs,
+            makespan_secs: runs.iter().map(|r| r.job_secs).fold(0.0, f64::max),
+            misses: runs.iter().filter(|r| !r.met_deadline).count() + failed,
+            instance_hours: hours,
+            cost: hours as f64 * cfg.hourly_rate(),
+            runs,
+        }
+    }
 }
 
 /// Where the resilient executor gets its instances from and how billed
@@ -219,8 +247,14 @@ pub fn acquire_instance(
     Err(CloudError::NotRunning(last.expect("at least one attempt")))
 }
 
-/// Run every instance of the plan concurrently (per-instance timelines)
-/// and summarize.
+/// Run every share of the plan on its own fresh instance, all in parallel
+/// on per-instance timelines, and summarize.
+///
+/// This is [`execute_plan_resilient`] with the default [`RetryPolicy`],
+/// keeping only the fleet summary. On a faulty cloud a share whose
+/// instance crashes therefore finishes on a replacement instead of
+/// returning the crash error; a share that exhausts the policy is missing
+/// from `runs` and counts as a miss.
 pub fn execute_plan(
     cloud: &mut Cloud,
     plan: &Plan,
@@ -232,8 +266,8 @@ pub fn execute_plan(
 
 /// [`execute_plan`] with an observability sink: emits a per-bin
 /// `execute.share` span (on the instance's simulated timeline), byte and
-/// job-time metrics, and fleet-level gauges. With the default no-op sink
-/// this is exactly `execute_plan`.
+/// job-time metrics, fleet-level gauges and, on a faulty cloud, the
+/// recovery counters of [`execute_plan_resilient_sourced`].
 pub fn execute_plan_observed(
     cloud: &mut Cloud,
     plan: &Plan,
@@ -241,62 +275,16 @@ pub fn execute_plan_observed(
     cfg: &ExecutionConfig,
     obs: &Obs,
 ) -> Result<ExecutionReport, CloudError> {
-    let mut runs = Vec::with_capacity(plan.instance_count());
-    let attach = cloud.config().attach_overhead_s;
-    // The fleet runs on per-instance event timelines without advancing the
-    // cloud's global clock, so the phase span is closed at the last
-    // simulated finish time rather than at `cloud.now()`.
-    let phase_start = cloud.now();
-    let mut last_finish = phase_start;
-    let phase = obs.span_start("pipeline.execute", phase_start);
-    for share in &plan.instances {
-        let (inst, boot_done) = acquire_instance(cloud, cfg)?;
-        let span = obs.span_start("execute.share", boot_done);
-        let (data, setup_secs) = match cfg.staging {
-            StagingTier::Ebs => {
-                let vol = cloud.create_volume(cfg.zone, share.volume.max(1));
-                cloud.attach_volume_at(vol, inst, boot_done)?;
-                (
-                    DataLocation::Ebs {
-                        volume: vol,
-                        offset: 0,
-                    },
-                    attach,
-                )
-            }
-            StagingTier::Local => (DataLocation::Local, cfg.stage_in_secs),
-        };
-        let report = cloud.submit_job(inst, model, &share.files, data, boot_done + setup_secs)?;
-        cloud.terminate_at(inst, report.finished_at)?;
-        let job_secs = setup_secs + report.observed_secs;
-        last_finish = last_finish.max(report.finished_at);
-        obs.span_end(span, report.finished_at);
-        obs.count("execute.bytes_moved", share.volume);
-        obs.observe("execute.job_secs", job_secs);
-        runs.push(InstanceRun {
-            instance: inst,
-            volume: share.volume,
-            files: share.files.len(),
-            predicted_secs: share.predicted_secs,
-            job_secs,
-            met_deadline: job_secs <= plan.deadline_secs,
-        });
-    }
-    let makespan_secs = runs.iter().map(|r| r.job_secs).fold(0.0, f64::max);
-    let misses = runs.iter().filter(|r| !r.met_deadline).count();
-    let hours: u64 = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
-    obs.count("execute.shares", runs.len() as u64);
-    obs.count("execute.instance_hours", hours);
-    obs.gauge("execute.makespan_secs", makespan_secs);
-    obs.span_end(phase, last_finish);
-    Ok(ExecutionReport {
-        deadline_secs: plan.deadline_secs,
-        makespan_secs,
-        misses,
-        instance_hours: hours,
-        cost: hours as f64 * cfg.hourly_rate(),
-        runs,
-    })
+    execute_plan_resilient_sourced(
+        cloud,
+        plan,
+        model,
+        cfg,
+        &RetryPolicy::default(),
+        &mut FreshFleet,
+        obs,
+    )
+    .map(|report| report.execution)
 }
 
 /// How the resilient executor reacts to injected faults. All delays are
@@ -399,40 +387,230 @@ impl DegradedReport {
     }
 }
 
-/// Acquisition wrapper for faulty clouds: an instance lost while booting
-/// or during its bonnie screen is simply replaced (bounded, so a plan
-/// that crashes every ordinal still terminates).
-pub(crate) fn acquire_resilient(
-    source: &mut dyn FleetSource,
-    cloud: &mut Cloud,
-    cfg: &ExecutionConfig,
-) -> Result<(InstanceId, f64), CloudError> {
-    let mut outcome = source.acquire(cloud, cfg);
-    for _ in 0..16 {
-        match outcome {
-            Ok(ok) => return Ok(ok),
-            Err(ref e) if e.is_instance_loss() => {}
-            Err(e) => return Err(e),
-        }
-        outcome = source.acquire(cloud, cfg);
-    }
-    outcome
+/// The counters one kind of fleet run reports its recovery actions under,
+/// and the salt of its jitter RNG. They are constants, so every event log
+/// keeps its bytes.
+pub(crate) struct RunKind {
+    pub(crate) salt: u64,
+    pub(crate) transient_retries: &'static str,
+    pub(crate) crashes: &'static str,
+    pub(crate) preemptions: &'static str,
+    pub(crate) replacements: &'static str,
 }
 
-/// How one attempt at a share ended.
-enum AttemptEnd {
-    /// The share completed; the run report is final.
-    Done(RunReport),
-    /// Retries or replacements exhausted at the given simulated time; the
-    /// share's bytes are lost.
-    GaveUp(f64),
+/// The executors' recovery counters.
+const EXECUTE: RunKind = RunKind {
+    salt: 0xBACC_0FF5,
+    transient_retries: "execute.transient_retries",
+    crashes: "execute.crashes",
+    preemptions: "execute.preemptions",
+    replacements: "execute.replacements",
+};
+
+/// How one share's attempts ended.
+pub(crate) enum ShareEnd {
+    /// The share completed on `report.instance`, which picked it up at
+    /// `ready` and is still live; `requeued` when it is a replacement.
+    Done {
+        report: RunReport,
+        ready: f64,
+        requeued: bool,
+    },
+    /// The share gave up at `at` and holds no instance: `err` is the
+    /// transient error that used up the policy's attempts, `None` when
+    /// instance loss used up its replacements.
+    GaveUp { at: f64, err: Option<CloudError> },
+}
+
+/// The recovery state of one fleet run: where its instances come from,
+/// the retry policy and its jitter RNG, the counters it reports under, and
+/// the tallies its report is built from.
+pub(crate) struct Fleet<'a> {
+    source: &'a mut dyn FleetSource,
+    retry: &'a RetryPolicy,
+    rng: StdRng,
+    kind: &'static RunKind,
+    obs: &'a Obs,
+    /// Billed instance-hours, doomed attempts included.
+    pub(crate) hours: u64,
+    pub(crate) crashes: usize,
+    pub(crate) preemptions: usize,
+    pub(crate) transient_retries: usize,
+    pub(crate) replacements: usize,
+}
+
+impl<'a> Fleet<'a> {
+    pub(crate) fn new(
+        kind: &'static RunKind,
+        retry: &'a RetryPolicy,
+        source: &'a mut dyn FleetSource,
+        obs: &'a Obs,
+    ) -> Self {
+        Fleet {
+            source,
+            retry,
+            rng: StdRng::seed_from_u64(retry.seed ^ kind.salt),
+            kind,
+            obs,
+            hours: 0,
+            crashes: 0,
+            preemptions: 0,
+            transient_retries: 0,
+            replacements: 0,
+        }
+    }
+
+    /// Acquire an instance from the source. One lost while booting or
+    /// during its bonnie screen is simply replaced (bounded, so a plan
+    /// that crashes every ordinal still terminates).
+    pub(crate) fn acquire(
+        &mut self,
+        cloud: &mut Cloud,
+        cfg: &ExecutionConfig,
+    ) -> Result<(InstanceId, f64), CloudError> {
+        let mut outcome = self.source.acquire(cloud, cfg);
+        for _ in 0..16 {
+            match outcome {
+                Ok(ok) => return Ok(ok),
+                Err(ref e) if e.is_instance_loss() => {}
+                Err(e) => return Err(e),
+            }
+            outcome = self.source.acquire(cloud, cfg);
+        }
+        outcome
+    }
+
+    /// Hand a live instance back to the source once its work ended at `at`
+    /// and bill the hours the source attributes to it.
+    pub(crate) fn release(
+        &mut self,
+        cloud: &mut Cloud,
+        inst: InstanceId,
+        ready: f64,
+        at: f64,
+    ) -> Result<(), CloudError> {
+        self.hours += self.source.release(cloud, inst, ready, at)?;
+        Ok(())
+    }
+
+    /// The backoff step after another transient error in a row (`attempt`
+    /// counts them): the simulated delay before the next try, or `None`
+    /// once the policy's attempts are used up.
+    pub(crate) fn backoff(&mut self, attempt: &mut u32) -> Option<f64> {
+        *attempt += 1;
+        if *attempt >= self.retry.max_attempts {
+            return None;
+        }
+        self.transient_retries += 1;
+        self.obs.count(self.kind.transient_retries, 1);
+        Some(self.retry.backoff_secs(*attempt, &mut self.rng))
+    }
+
+    /// The replacement step after `err` killed `inst` (ready at `ready`),
+    /// noticed at `t`: tally the loss, bill the doomed attempt and, while
+    /// the share has replacements left (`used` counts them), acquire a
+    /// replacement that cannot pick the work up before the loss. Returns
+    /// the time of death and the replacement, `None` once the budget is
+    /// used up.
+    pub(crate) fn replace(
+        &mut self,
+        cloud: &mut Cloud,
+        cfg: &ExecutionConfig,
+        (inst, ready): (InstanceId, f64),
+        err: &CloudError,
+        t: f64,
+        used: &mut u32,
+    ) -> Result<(f64, Option<(InstanceId, f64)>), CloudError> {
+        if matches!(err, CloudError::SpotPreempted(_)) {
+            self.preemptions += 1;
+            self.obs.count(self.kind.preemptions, 1);
+        } else {
+            self.crashes += 1;
+            self.obs.count(self.kind.crashes, 1);
+        }
+        // The cloud already terminated the instance and detached its
+        // volumes.
+        let t_dead = cloud.crash_time(inst).unwrap_or(t).max(ready);
+        self.hours += self.source.lost(cloud, inst, ready, t_dead);
+        if *used >= self.retry.max_replacements {
+            return Ok((t_dead, None));
+        }
+        *used += 1;
+        self.replacements += 1;
+        self.obs.count(self.kind.replacements, 1);
+        let (next, next_ready) = self.acquire(cloud, cfg)?;
+        Ok((t_dead, Some((next, next_ready.max(t_dead)))))
+    }
+
+    /// Run one share to its end, starting on `first` (an instance and the
+    /// time it is ready). Each attempt stages the data, backing off
+    /// transient attach errors, and submits the job. When the cloud kills
+    /// the instance, the whole bin is requeued on a replacement: a
+    /// persistent EBS volume survives the loss and re-attaches, local
+    /// staging re-stages from scratch. A share stuck on transient errors
+    /// releases its live instance; a completed one leaves it to the caller.
+    pub(crate) fn run_share(
+        &mut self,
+        cloud: &mut Cloud,
+        cfg: &ExecutionConfig,
+        model: &dyn AppCostModel,
+        share: &InstancePlan,
+        first: (InstanceId, f64),
+    ) -> Result<ShareEnd, CloudError> {
+        let attach = cloud.config().attach_overhead_s;
+        let vol = (cfg.staging == StagingTier::Ebs)
+            .then(|| cloud.create_volume(cfg.zone, share.volume.max(1)));
+        let ((mut inst, mut ready), mut used) = (first, 0u32);
+        loop {
+            // One attempt on `inst`, working no earlier than `ready`.
+            let (mut t, mut attempt) = (ready, 0u32);
+            let data = match vol {
+                None => {
+                    t += cfg.stage_in_secs;
+                    Ok(DataLocation::Local)
+                }
+                Some(volume) => loop {
+                    match cloud.attach_volume_at(volume, inst, t) {
+                        Ok(()) => {
+                            t += attach;
+                            break Ok(DataLocation::Ebs { volume, offset: 0 });
+                        }
+                        Err(err) if err.is_transient() => match self.backoff(&mut attempt) {
+                            Some(delay) => t += delay,
+                            None => {
+                                self.release(cloud, inst, ready, t)?;
+                                let err = Some(err);
+                                return Ok(ShareEnd::GaveUp { at: t, err });
+                            }
+                        },
+                        Err(err) => break Err(err),
+                    }
+                },
+            };
+            let run = data.and_then(|data| cloud.submit_job(inst, model, &share.files, data, t));
+            let err = match run {
+                Ok(report) => {
+                    return Ok(ShareEnd::Done {
+                        report,
+                        ready,
+                        requeued: used > 0,
+                    })
+                }
+                Err(err) if err.is_instance_loss() => err,
+                Err(err) => return Err(err),
+            };
+            match self.replace(cloud, cfg, (inst, ready), &err, t, &mut used)? {
+                (_, Some(next)) => (inst, ready) = next,
+                (at, None) => return Ok(ShareEnd::GaveUp { at, err: None }),
+            }
+        }
+    }
 }
 
 /// Execute a plan on a possibly faulty cloud: transient errors back off
 /// and retry in place, lost instances are replaced and their whole bin
 /// requeued on the replacement, and everything is accounted in a
-/// [`DegradedReport`]. On a fault-free cloud the embedded
-/// [`ExecutionReport`] is bit-for-bit identical to [`execute_plan`]'s.
+/// [`DegradedReport`].
 ///
 /// Recovery time counts against the deadline: a share's `job_secs` runs
 /// from the moment its *first* instance was ready to the final finish.
@@ -443,32 +621,26 @@ pub fn execute_plan_resilient(
     cfg: &ExecutionConfig,
     retry: &RetryPolicy,
 ) -> Result<DegradedReport, CloudError> {
-    execute_plan_resilient_observed(cloud, plan, model, cfg, retry, &Obs::default())
+    execute_plan_resilient_sourced(
+        cloud,
+        plan,
+        model,
+        cfg,
+        retry,
+        &mut FreshFleet,
+        &Obs::default(),
+    )
 }
 
-/// [`execute_plan_resilient`] with an observability sink: in addition to
-/// the `execute_plan_observed` metrics it counts retries, crashes,
+/// [`execute_plan_resilient`] generalized over where instances come from
+/// and with an observability sink. Every acquisition, release, and loss
+/// goes through the given [`FleetSource`], which also attributes billed
+/// hours; with a warm pool, shares land on instances whose current billed
+/// hour is already paid whenever one is free. Besides the
+/// [`execute_plan_observed`] metrics, the sink counts retries, crashes,
 /// preemptions, replacements, requeued bins and recovered/lost bytes as
 /// they happen, so the event log shows *when* in simulated time each
-/// recovery action fired. With the default no-op sink this is exactly
-/// `execute_plan_resilient`.
-pub fn execute_plan_resilient_observed(
-    cloud: &mut Cloud,
-    plan: &Plan,
-    model: &dyn AppCostModel,
-    cfg: &ExecutionConfig,
-    retry: &RetryPolicy,
-    obs: &Obs,
-) -> Result<DegradedReport, CloudError> {
-    execute_plan_resilient_sourced(cloud, plan, model, cfg, retry, &mut FreshFleet, obs)
-}
-
-/// [`execute_plan_resilient_observed`] generalized over where instances
-/// come from: every acquisition, release, and loss goes through the given
-/// [`FleetSource`], which also attributes billed hours. With
-/// [`FreshFleet`] this is exactly `execute_plan_resilient_observed`; with
-/// a warm pool, shares land on instances whose current billed hour is
-/// already paid whenever one is free.
+/// recovery action fired.
 pub fn execute_plan_resilient_sourced(
     cloud: &mut Cloud,
     plan: &Plan,
@@ -478,112 +650,30 @@ pub fn execute_plan_resilient_sourced(
     source: &mut dyn FleetSource,
     obs: &Obs,
 ) -> Result<DegradedReport, CloudError> {
-    let mut rng = StdRng::seed_from_u64(retry.seed ^ 0xBACC_0FF5);
-    let attach = cloud.config().attach_overhead_s;
+    let mut fleet = Fleet::new(&EXECUTE, retry, source, obs);
     let mut runs = Vec::with_capacity(plan.instance_count());
     let mut share_files: Vec<Vec<FileSpec>> = Vec::with_capacity(plan.instance_count());
     let mut failed_shares = Vec::new();
-    let (mut crashes, mut preemptions, mut transient_retries) = (0usize, 0usize, 0usize);
-    let (mut replacements, mut requeued_shares) = (0usize, 0usize);
-    let (mut recovered_bytes, mut lost_bytes) = (0u64, 0u64);
-    let mut hours = 0u64;
-    // As in `execute_plan_observed`: the fleet works on per-instance event
-    // timelines, so the phase span closes at the last simulated finish (or
-    // give-up) time, not at `cloud.now()`.
+    let (mut requeued_shares, mut recovered_bytes, mut lost_bytes) = (0usize, 0u64, 0u64);
+    // The fleet runs on per-instance event timelines without advancing the
+    // cloud's global clock, so the phase span closes at the last simulated
+    // finish (or give-up) time, not at `cloud.now()`.
     let phase_start = cloud.now();
     let mut last_finish = phase_start;
     let phase = obs.span_start("pipeline.execute", phase_start);
 
     for (idx, share) in plan.instances.iter().enumerate() {
-        let (mut inst, mut ready) = acquire_resilient(source, cloud, cfg)?;
-        let first_ready = ready;
-        let span = obs.span_start("execute.share", first_ready);
-        // A persistent EBS volume survives instance loss and re-attaches
-        // to the replacement; local staging re-stages from scratch.
-        let vol = match cfg.staging {
-            StagingTier::Ebs => Some(cloud.create_volume(cfg.zone, share.volume.max(1))),
-            StagingTier::Local => None,
-        };
-        let mut share_replacements = 0u32;
-        let end = loop {
-            // One attempt on `inst`, working no earlier than `ready`.
-            let mut t = ready;
-            let mut lost: Option<CloudError> = None;
-            let mut gave_up = false;
-            let data = if let Some(v) = vol {
-                let mut attempt = 0u32;
-                loop {
-                    match cloud.attach_volume_at(v, inst, t) {
-                        Ok(()) => {
-                            t += attach;
-                            break;
-                        }
-                        Err(e) if e.is_instance_loss() => {
-                            lost = Some(e);
-                            break;
-                        }
-                        Err(e) if e.is_transient() => {
-                            attempt += 1;
-                            if attempt >= retry.max_attempts {
-                                gave_up = true;
-                                break;
-                            }
-                            transient_retries += 1;
-                            obs.count("execute.transient_retries", 1);
-                            t += retry.backoff_secs(attempt, &mut rng);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                DataLocation::Ebs {
-                    volume: v,
-                    offset: 0,
-                }
-            } else {
-                t += cfg.stage_in_secs;
-                DataLocation::Local
-            };
-            if gave_up {
-                // The instance is alive but the share is stuck; release it.
-                hours += source.release(cloud, inst, ready, t)?;
-                break AttemptEnd::GaveUp(t);
-            }
-            if lost.is_none() {
-                match cloud.submit_job(inst, model, &share.files, data, t) {
-                    Ok(report) => {
-                        hours += source.release(cloud, inst, ready, report.finished_at)?;
-                        break AttemptEnd::Done(report);
-                    }
-                    Err(e) if e.is_instance_loss() => lost = Some(e),
-                    Err(e) => return Err(e),
-                }
-            }
-            // Instance loss: the cloud already terminated the instance and
-            // detached its volumes. Bill the partial attempt and requeue
-            // the whole bin on a replacement.
-            if matches!(lost, Some(CloudError::SpotPreempted(_))) {
-                preemptions += 1;
-                obs.count("execute.preemptions", 1);
-            } else {
-                crashes += 1;
-                obs.count("execute.crashes", 1);
-            }
-            let t_dead = cloud.crash_time(inst).unwrap_or(t).max(ready);
-            hours += source.lost(cloud, inst, ready, t_dead);
-            if share_replacements >= retry.max_replacements {
-                break AttemptEnd::GaveUp(t_dead);
-            }
-            share_replacements += 1;
-            replacements += 1;
-            obs.count("execute.replacements", 1);
-            let (new_inst, new_ready) = acquire_resilient(source, cloud, cfg)?;
-            inst = new_inst;
-            // The replacement cannot pick the work up before the loss.
-            ready = new_ready.max(t_dead);
-        };
-        match end {
-            AttemptEnd::Done(report) => {
-                let job_secs = report.finished_at - first_ready;
+        let first = fleet.acquire(cloud, cfg)?;
+        let span = obs.span_start("execute.share", first.1);
+        let gave_up_at = match fleet.run_share(cloud, cfg, model, share, first)? {
+            ShareEnd::GaveUp { at, .. } => at,
+            ShareEnd::Done {
+                report,
+                ready,
+                requeued,
+            } => {
+                fleet.release(cloud, report.instance, ready, report.finished_at)?;
+                let job_secs = report.finished_at - first.1;
                 last_finish = last_finish.max(report.finished_at);
                 obs.span_end(span, report.finished_at);
                 obs.count("execute.bytes_moved", share.volume);
@@ -597,46 +687,43 @@ pub fn execute_plan_resilient_sourced(
                     met_deadline: job_secs <= plan.deadline_secs,
                 });
                 share_files.push(share.files.clone());
-                if share_replacements > 0 {
+                if requeued {
                     requeued_shares += 1;
                     recovered_bytes += share.volume;
                     obs.count("execute.requeued_shares", 1);
                     obs.count("execute.recovered_bytes", share.volume);
                 }
+                continue;
             }
-            AttemptEnd::GaveUp(at) => {
-                last_finish = last_finish.max(at);
-                obs.span_end(span, at);
-                obs.count("execute.failed_shares", 1);
-                obs.count("execute.lost_bytes", share.volume);
-                failed_shares.push(idx);
-                share_files.push(Vec::new());
-                lost_bytes += share.volume;
-            }
-        }
+        };
+        last_finish = last_finish.max(gave_up_at);
+        obs.span_end(span, gave_up_at);
+        obs.count("execute.failed_shares", 1);
+        obs.count("execute.lost_bytes", share.volume);
+        failed_shares.push(idx);
+        share_files.push(Vec::new());
+        lost_bytes += share.volume;
     }
 
-    let makespan_secs = runs.iter().map(|r| r.job_secs).fold(0.0, f64::max);
-    let misses = runs.iter().filter(|r| !r.met_deadline).count() + failed_shares.len();
-    obs.count("execute.shares", runs.len() as u64);
-    obs.count("execute.instance_hours", hours);
-    obs.gauge("execute.makespan_secs", makespan_secs);
+    let execution = ExecutionReport::summarize(
+        runs,
+        plan.deadline_secs,
+        failed_shares.len(),
+        fleet.hours,
+        cfg,
+    );
+    obs.count("execute.shares", execution.runs.len() as u64);
+    obs.count("execute.instance_hours", execution.instance_hours);
+    obs.gauge("execute.makespan_secs", execution.makespan_secs);
     obs.span_end(phase, last_finish);
     Ok(DegradedReport {
-        execution: ExecutionReport {
-            deadline_secs: plan.deadline_secs,
-            makespan_secs,
-            misses,
-            instance_hours: hours,
-            cost: hours as f64 * cfg.hourly_rate(),
-            runs,
-        },
+        execution,
         failed_shares,
         share_files,
-        crashes,
-        preemptions,
-        transient_retries,
-        replacements,
+        crashes: fleet.crashes,
+        preemptions: fleet.preemptions,
+        transient_retries: fleet.transient_retries,
+        replacements: fleet.replacements,
         requeued_shares,
         recovered_bytes,
         lost_bytes,

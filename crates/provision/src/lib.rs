@@ -14,6 +14,9 @@
 //!    bound the miss probability (Fig 8(d), Fig 9(c));
 //! 5. executes the plan on the simulated cloud, one instance per bin, and
 //!    reports per-instance times, misses, instance-hours and dollars.
+//!    Every share runs through one share attempt that also recovers from
+//!    injected faults (backoff on transient errors, whole-bin requeue on
+//!    instance loss), so the static and resilient executors are one path.
 
 #![forbid(unsafe_code)]
 
@@ -35,9 +38,8 @@ pub use dynamic::{execute_dynamic, DynamicConfig, DynamicError, DynamicReport};
 pub use error::ProvisionError;
 pub use executor::{
     acquire_instance, execute_plan, execute_plan_observed, execute_plan_resilient,
-    execute_plan_resilient_observed, execute_plan_resilient_sourced, DegradedReport,
-    ExecutionConfig, ExecutionReport, FleetSource, FreshFleet, InstanceRun, RetryPolicy,
-    StagingTier,
+    execute_plan_resilient_sourced, DegradedReport, ExecutionConfig, ExecutionReport, FleetSource,
+    FreshFleet, InstanceRun, RetryPolicy, StagingTier,
 };
 pub use montecarlo::{evaluate_plan, PlanDistribution};
 pub use plan::{InstancePlan, Plan};

@@ -10,7 +10,9 @@
 //! measured bandwidth, and carves off exactly the volume *that instance*
 //! can finish by the deadline.
 
-use crate::executor::{ExecutionConfig, ExecutionReport, InstanceRun, StagingTier};
+use crate::executor::{
+    acquire_instance, ExecutionConfig, ExecutionReport, InstanceRun, StagingTier,
+};
 use crate::pricing::instance_hours;
 use ec2sim::{run_disk_probe_at, Cloud, CloudError, DataLocation};
 use perfmodel::Fit;
@@ -88,8 +90,7 @@ pub fn execute_quality_aware(
             break; // hostile fleet; report what was scheduled
         }
         candidates += 1;
-        let inst = cloud.launch(cfg.itype, cfg.zone)?;
-        let boot = cloud.running_at(inst)?;
+        let (inst, boot) = acquire_instance(cloud, cfg)?;
         let (mbps, probe_done) = run_disk_probe_at(cloud, inst, boot, qcfg.probe_bytes)?;
         if mbps < qcfg.min_usable_mbps {
             cloud.terminate_at(inst, probe_done)?;
@@ -154,18 +155,9 @@ pub fn execute_quality_aware(
         });
     }
 
-    let makespan_secs = runs.iter().map(|r| r.job_secs).fold(0.0, f64::max);
-    let misses = runs.iter().filter(|r| !r.met_deadline).count();
-    let hours: u64 = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
+    let hours = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
     Ok(QualityAwareReport {
-        execution: ExecutionReport {
-            deadline_secs,
-            makespan_secs,
-            misses,
-            instance_hours: hours,
-            cost: hours as f64 * cfg.pricing.hourly_rate,
-            runs,
-        },
+        execution: ExecutionReport::summarize(runs, deadline_secs, 0, hours, cfg),
         measured_mbps,
         rejected,
     })

@@ -40,20 +40,16 @@
 //! `FaultPlan`.
 
 use crate::error::ProvisionError;
-use crate::executor::{
-    acquire_resilient, ExecutionConfig, FleetSource, FreshFleet, RetryPolicy, StagingTier,
-};
+use crate::executor::{ExecutionConfig, Fleet, FreshFleet, RetryPolicy, RunKind, ShareEnd};
 use crate::plan::Plan;
 use crate::strategy::{make_plan, Strategy};
 use corpus::{FileSpec, TextGenerator, TextParams};
 use ec2sim::{
-    AvailabilityZone, BackendParams, Cloud, CloudError, DataLocation, InstanceId, SharingBackend,
+    AvailabilityZone, BackendParams, Cloud, CloudError, DataLocation, SharingBackend,
     TransferEngine, TransferRequest,
 };
 use obs::Obs;
 use perfmodel::{adjusted_deadline, adjustment_factor, try_fit, Fit, ModelKind, ResidualStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use textapps::aggregate::{
     map_document_into, merge_partials, partial_bytes, partition_partial, render,
@@ -511,22 +507,23 @@ fn plan_with_partials(
     Ok((plan, shuffle_plan, partitioned))
 }
 
-/// Shared backoff state for transient S3 transfer errors.
-struct Backoff<'a> {
-    policy: &'a RetryPolicy,
-    rng: &'a mut StdRng,
-    retries: &'a mut usize,
-}
+/// The shuffle's recovery counters.
+const SHUFFLE: RunKind = RunKind {
+    salt: 0x0EC2_5AFF,
+    transient_retries: "shuffle.transient_retries",
+    crashes: "shuffle.crashes",
+    preemptions: "shuffle.preemptions",
+    replacements: "shuffle.replacements",
+};
 
 /// Perform one real `s3_put`/`s3_get` against the simulated store at the
 /// transfer's simulated start, retrying transient injected faults with the
-/// shared backoff policy. Returns the (possibly delayed) start time.
+/// fleet's backoff step. Returns the (possibly delayed) start time.
 /// Advancing the global clock to the op time is what arms time-scheduled
 /// S3 fault events; the advance is monotone, so replays stay identical.
 fn s3_op(
     cloud: &mut Cloud,
-    bo: &mut Backoff<'_>,
-    obs: &Obs,
+    fleet: &mut Fleet<'_>,
     key: &str,
     bytes: u64,
     mut not_before: f64,
@@ -545,32 +542,13 @@ fn s3_op(
         };
         match outcome {
             Ok(()) => return Ok(t),
-            Err(e) if e.is_transient() => {
-                attempt += 1;
-                if attempt >= bo.policy.max_attempts {
-                    return Err(ShuffleError::Cloud(e));
-                }
-                *bo.retries += 1;
-                obs.count("shuffle.transient_retries", 1);
-                not_before = t + bo.policy.backoff_secs(attempt, bo.rng);
-            }
+            Err(e) if e.is_transient() => match fleet.backoff(&mut attempt) {
+                Some(delay) => not_before = t + delay,
+                None => return Err(ShuffleError::Cloud(e)),
+            },
             Err(e) => return Err(ShuffleError::Cloud(e)),
         }
     }
-}
-
-/// Mutable fleet/accounting state threaded through the three phases.
-struct FleetState {
-    /// Per-map-slot (instance, ready) — replacements swap in place.
-    slots: Vec<(InstanceId, f64)>,
-    /// Per-slot horizon the release must cover beyond submitted jobs
-    /// (producers stay up until their last PUT lands).
-    put_horizon: Vec<f64>,
-    hours: u64,
-    crashes: usize,
-    preemptions: usize,
-    replacements: usize,
-    transient_retries: usize,
 }
 
 /// Execute a distributed aggregation over an explicit backend. The
@@ -599,102 +577,43 @@ fn execute_partitioned(
     obs: &Obs,
 ) -> Result<ShuffleReport, ShuffleError> {
     let zones = cfg.zones();
+    let zone_cfg = |i: usize| ExecutionConfig {
+        zone: zones[i % zones.len()],
+        ..cfg.exec
+    };
     let reduce_bins = cfg.reduce_bins.max(1);
     let model = TokenizeCostModel::default();
-    let mut rng = StdRng::seed_from_u64(cfg.retry.seed ^ 0x0EC2_5AFF);
     let mut source = FreshFleet;
-    let attach = cloud.config().attach_overhead_s;
+    let mut fleet = Fleet::new(&SHUFFLE, &cfg.retry, &mut source, obs);
     let m_count = plan.instance_count();
 
     let phase_start = cloud.now();
     let pipeline = obs.span_start("shuffle.pipeline", phase_start);
-    let mut st = FleetState {
-        slots: Vec::with_capacity(m_count),
-        put_horizon: vec![phase_start; m_count],
-        hours: 0,
-        crashes: 0,
-        preemptions: 0,
-        replacements: 0,
-        transient_retries: 0,
-    };
+    // Per-map-slot (instance, ready): reducers ride on the map fleet and
+    // replacements swap in place.
+    let mut slots = Vec::with_capacity(m_count);
+    // Per-slot horizon the release must cover beyond submitted jobs
+    // (producers stay up until their last PUT lands).
+    let mut put_horizon = vec![phase_start; m_count];
 
     // ---- Phase 1: map ----------------------------------------------------
+    // Each bin is an ordinary share; an aggregation cannot drop a key
+    // range, so a share that exhausts the retry policy stops the run.
     let map_span = obs.span_start("shuffle.map", phase_start);
     let mut map_finish = vec![phase_start; m_count];
     for (idx, share) in plan.instances.iter().enumerate() {
-        let share_cfg = ExecutionConfig {
-            zone: zones[idx % zones.len()],
-            ..cfg.exec
-        };
-        let (mut inst, mut ready) = acquire_resilient(&mut source, cloud, &share_cfg)?;
-        let vol = match share_cfg.staging {
-            StagingTier::Ebs => Some(cloud.create_volume(share_cfg.zone, share.volume.max(1))),
-            StagingTier::Local => None,
-        };
-        let mut share_replacements = 0u32;
-        let report = loop {
-            let mut t = ready;
-            let mut lost: Option<CloudError> = None;
-            let data = if let Some(v) = vol {
-                let mut attempt = 0u32;
-                loop {
-                    match cloud.attach_volume_at(v, inst, t) {
-                        Ok(()) => {
-                            t += attach;
-                            break;
-                        }
-                        Err(e) if e.is_instance_loss() => {
-                            lost = Some(e);
-                            break;
-                        }
-                        Err(e) if e.is_transient() => {
-                            attempt += 1;
-                            if attempt >= cfg.retry.max_attempts {
-                                return Err(ShuffleError::Cloud(e));
-                            }
-                            st.transient_retries += 1;
-                            obs.count("shuffle.transient_retries", 1);
-                            t += cfg.retry.backoff_secs(attempt, &mut rng);
-                        }
-                        Err(e) => return Err(ShuffleError::Cloud(e)),
-                    }
-                }
-                DataLocation::Ebs {
-                    volume: v,
-                    offset: 0,
-                }
-            } else {
-                t += share_cfg.stage_in_secs;
-                DataLocation::Local
-            };
-            if lost.is_none() {
-                match cloud.submit_job(inst, &model, &share.files, data, t) {
-                    Ok(report) => break report,
-                    Err(e) if e.is_instance_loss() => lost = Some(e),
-                    Err(e) => return Err(ShuffleError::Cloud(e)),
-                }
+        let share_cfg = zone_cfg(idx);
+        let first = fleet.acquire(cloud, &share_cfg)?;
+        match fleet.run_share(cloud, &share_cfg, &model, share, first)? {
+            ShareEnd::Done { report, ready, .. } => {
+                map_finish[idx] = report.finished_at;
+                slots.push((report.instance, ready));
             }
-            if matches!(lost, Some(CloudError::SpotPreempted(_))) {
-                st.preemptions += 1;
-                obs.count("shuffle.preemptions", 1);
-            } else {
-                st.crashes += 1;
-                obs.count("shuffle.crashes", 1);
+            ShareEnd::GaveUp { err: Some(err), .. } => return Err(ShuffleError::Cloud(err)),
+            ShareEnd::GaveUp { err: None, .. } => {
+                return Err(ShuffleError::SharesExhausted { share: idx })
             }
-            let t_dead = cloud.crash_time(inst).unwrap_or(t).max(ready);
-            st.hours += source.lost(cloud, inst, ready, t_dead);
-            if share_replacements >= cfg.retry.max_replacements {
-                return Err(ShuffleError::SharesExhausted { share: idx });
-            }
-            share_replacements += 1;
-            st.replacements += 1;
-            obs.count("shuffle.replacements", 1);
-            let (new_inst, new_ready) = acquire_resilient(&mut source, cloud, &share_cfg)?;
-            inst = new_inst;
-            ready = new_ready.max(t_dead);
-        };
-        map_finish[idx] = report.finished_at;
-        st.slots.push((inst, ready));
+        }
     }
     let map_finish_secs = map_finish.iter().copied().fold(phase_start, f64::max);
     obs.span_end(map_span, map_finish_secs);
@@ -703,57 +622,50 @@ fn execute_partitioned(
     let xfer_span = obs.span_start("shuffle.xfer", map_finish_secs);
     let mut engine = TransferEngine::new(backend, cfg.seed);
     let mut get_finish = vec![map_finish_secs; reduce_bins];
-    {
-        let mut bo = Backoff {
-            policy: &cfg.retry,
-            rng: &mut rng,
-            retries: &mut st.transient_retries,
-        };
-        for mv in movements_of(cfg, partitioned) {
-            let (m, r, bytes) = (mv.producer, mv.reducer, mv.bytes);
-            let mut put_nb = map_finish[m];
-            if backend == SharingBackend::S3 {
-                put_nb = s3_op(cloud, &mut bo, obs, &mv.key, bytes, put_nb, false)?;
-            }
-            let put = engine.transfer(&TransferRequest {
-                key: mv.key.clone(),
-                bytes,
-                src_zone: mv.src_zone,
-                dst_zone: mv.dst_zone,
-                not_before: put_nb,
-                is_get: false,
-            });
-            obs.transfer(
-                backend.label(),
-                &mv.key,
-                bytes,
-                put.started_at,
-                put.finished_at - put.started_at,
-            );
-            obs.count("shuffle.bytes_moved", bytes);
-            st.put_horizon[m] = st.put_horizon[m].max(put.finished_at);
-            let mut get_nb = put.finished_at;
-            if backend == SharingBackend::S3 {
-                get_nb = s3_op(cloud, &mut bo, obs, &mv.key, bytes, get_nb, true)?;
-            }
-            let get = engine.transfer(&TransferRequest {
-                key: mv.key,
-                bytes,
-                src_zone: mv.dst_zone,
-                dst_zone: mv.dst_zone,
-                not_before: get_nb,
-                is_get: true,
-            });
-            obs.transfer(
-                backend.label(),
-                &get.key,
-                bytes,
-                get.started_at,
-                get.finished_at - get.started_at,
-            );
-            obs.count("shuffle.bytes_moved", bytes);
-            get_finish[r] = get_finish[r].max(get.finished_at);
+    for mv in movements_of(cfg, partitioned) {
+        let (m, r, bytes) = (mv.producer, mv.reducer, mv.bytes);
+        let mut put_nb = map_finish[m];
+        if backend == SharingBackend::S3 {
+            put_nb = s3_op(cloud, &mut fleet, &mv.key, bytes, put_nb, false)?;
         }
+        let put = engine.transfer(&TransferRequest {
+            key: mv.key.clone(),
+            bytes,
+            src_zone: mv.src_zone,
+            dst_zone: mv.dst_zone,
+            not_before: put_nb,
+            is_get: false,
+        });
+        obs.transfer(
+            backend.label(),
+            &mv.key,
+            bytes,
+            put.started_at,
+            put.finished_at - put.started_at,
+        );
+        obs.count("shuffle.bytes_moved", bytes);
+        put_horizon[m] = put_horizon[m].max(put.finished_at);
+        let mut get_nb = put.finished_at;
+        if backend == SharingBackend::S3 {
+            get_nb = s3_op(cloud, &mut fleet, &mv.key, bytes, get_nb, true)?;
+        }
+        let get = engine.transfer(&TransferRequest {
+            key: mv.key,
+            bytes,
+            src_zone: mv.dst_zone,
+            dst_zone: mv.dst_zone,
+            not_before: get_nb,
+            is_get: true,
+        });
+        obs.transfer(
+            backend.label(),
+            &get.key,
+            bytes,
+            get.started_at,
+            get.finished_at - get.started_at,
+        );
+        obs.count("shuffle.bytes_moved", bytes);
+        get_finish[r] = get_finish[r].max(get.finished_at);
     }
     let shuffle_finish_secs = engine.horizon().max(map_finish_secs);
     obs.span_end(xfer_span, shuffle_finish_secs);
@@ -771,40 +683,21 @@ fn execute_partitioned(
         if m_count > 0 && !merged.is_empty() {
             let slot = r % m_count;
             let spec = [FileSpec::new(r as u64, partial_bytes(&merged).max(1))];
-            let share_cfg = ExecutionConfig {
-                zone: zones[r % zones.len()],
-                ..cfg.exec
-            };
-            let mut share_replacements = 0u32;
+            let mut used = 0u32;
             loop {
-                let (inst, ready) = st.slots[slot];
+                let (inst, ready) = slots[slot];
                 let nb = get_finish[r].max(ready);
-                match cloud.submit_job(inst, &model, &spec, DataLocation::Local, nb) {
+                let err = match cloud.submit_job(inst, &model, &spec, DataLocation::Local, nb) {
                     Ok(rep) => {
                         last_finish = last_finish.max(rep.finished_at);
                         break;
                     }
-                    Err(e) if e.is_instance_loss() => {
-                        if matches!(e, CloudError::SpotPreempted(_)) {
-                            st.preemptions += 1;
-                            obs.count("shuffle.preemptions", 1);
-                        } else {
-                            st.crashes += 1;
-                            obs.count("shuffle.crashes", 1);
-                        }
-                        let t_dead = cloud.crash_time(inst).unwrap_or(nb).max(ready);
-                        st.hours += source.lost(cloud, inst, ready, t_dead);
-                        if share_replacements >= cfg.retry.max_replacements {
-                            return Err(ShuffleError::SharesExhausted { share: m_count + r });
-                        }
-                        share_replacements += 1;
-                        st.replacements += 1;
-                        obs.count("shuffle.replacements", 1);
-                        let (new_inst, new_ready) =
-                            acquire_resilient(&mut source, cloud, &share_cfg)?;
-                        st.slots[slot] = (new_inst, new_ready.max(t_dead));
-                    }
+                    Err(e) if e.is_instance_loss() => e,
                     Err(e) => return Err(ShuffleError::Cloud(e)),
+                };
+                match fleet.replace(cloud, &zone_cfg(r), slots[slot], &err, nb, &mut used)? {
+                    (_, Some(next)) => slots[slot] = next,
+                    (_, None) => return Err(ShuffleError::SharesExhausted { share: m_count + r }),
                 }
             }
         }
@@ -815,15 +708,14 @@ fn execute_partitioned(
 
     // Release the fleet: each instance is held through its own busy
     // horizon and any PUT it still had in flight.
-    for (slot, &(inst, ready)) in st.slots.iter().enumerate() {
+    for (&(inst, ready), &put_done) in slots.iter().zip(&put_horizon) {
         let busy = cloud.busy_until(inst)?;
-        let release_at = busy.max(st.put_horizon[slot]).max(ready);
-        st.hours += source.release(cloud, inst, ready, release_at)?;
+        fleet.release(cloud, inst, ready, busy.max(put_done).max(ready))?;
     }
 
     let makespan_secs = last_finish - phase_start;
     obs.count("shuffle.transfers", engine.transfers as u64);
-    obs.count("shuffle.instance_hours", st.hours);
+    obs.count("shuffle.instance_hours", fleet.hours);
     obs.gauge("shuffle.makespan_secs", makespan_secs);
     obs.span_end(pipeline, last_finish);
 
@@ -837,12 +729,12 @@ fn execute_partitioned(
         makespan_secs,
         bytes_shuffled: engine.bytes_moved,
         transfers: engine.transfers,
-        transient_retries: st.transient_retries,
-        crashes: st.crashes,
-        preemptions: st.preemptions,
-        replacements: st.replacements,
-        instance_hours: st.hours,
-        compute_cost: st.hours as f64 * cfg.exec.hourly_rate(),
+        transient_retries: fleet.transient_retries,
+        crashes: fleet.crashes,
+        preemptions: fleet.preemptions,
+        replacements: fleet.replacements,
+        instance_hours: fleet.hours,
+        compute_cost: fleet.hours as f64 * cfg.exec.hourly_rate(),
         transfer_cost: engine.total_cost(),
         reduce_outputs,
         result,

@@ -4,12 +4,17 @@
 //! most one extra instance-hour).
 
 use corpus::FileSpec;
-use ec2sim::{Cloud, CloudConfig, FaultEvent, FaultKind, FaultPlan};
+use ec2sim::{
+    Cloud, CloudConfig, CloudError, FaultEvent, FaultKind, FaultPlan, InstanceFamily, InstanceId,
+    SharingBackend, VolumeId,
+};
+use obs::Obs;
 use perfmodel::{fit, Fit, ModelKind};
 use proptest::prelude::*;
 use provision::{
-    execute_plan, execute_plan_resilient, make_plan, ExecutionConfig, ProvisionError, RetryPolicy,
-    StagingTier, Strategy,
+    execute_dynamic, execute_plan, execute_plan_resilient, execute_quality_aware,
+    execute_shuffle_observed, make_plan, DynamicConfig, ExecutionConfig, ProvisionError,
+    QualityAwareConfig, RetryPolicy, ShuffleConfig, ShuffleError, StagingTier, Strategy,
 };
 use textapps::GrepCostModel;
 
@@ -51,6 +56,20 @@ fn crash_first_fleet_instance(at: f64) -> FaultPlan {
         volume: None,
         kind: FaultKind::InstanceCrash,
     }])
+}
+
+/// `n` transient attach failures on the first fleet volume.
+fn attach_failures_on_first_volume(n: u32) -> FaultPlan {
+    FaultPlan::scripted(
+        (0..n)
+            .map(|_| FaultEvent {
+                at: 0.0,
+                instance: None,
+                volume: Some(0),
+                kind: FaultKind::EbsAttachFailure,
+            })
+            .collect(),
+    )
 }
 
 #[test]
@@ -256,6 +275,164 @@ fn transient_attach_failures_are_absorbed_by_backoff() {
     assert_eq!(report.transient_retries, 2);
     assert!(report.failed_shares.is_empty());
     assert_eq!(report.crashes + report.preemptions + report.replacements, 0);
+}
+
+#[test]
+fn exhausted_attach_retries_fail_the_share_and_release_its_instance() {
+    let m = grep_fit();
+    let files = corpus_files(10, 100_000_000); // 1 GB → one share
+    let plan = make_plan(Strategy::UniformBins, &files, &m, 60.0).unwrap();
+    assert_eq!(plan.instance_count(), 1);
+    let retry = RetryPolicy {
+        max_attempts: 2,
+        ..RetryPolicy::default()
+    };
+    let faults = attach_failures_on_first_volume(retry.max_attempts + 1);
+    let mut cloud = Cloud::with_faults(steady_config(6), &faults);
+    let report = execute_plan_resilient(
+        &mut cloud,
+        &plan,
+        &GrepCostModel::default(),
+        &ExecutionConfig::default(),
+        &retry,
+    )
+    .unwrap();
+    // Every attempt but the last backs off; the last gives up.
+    assert_eq!(report.transient_retries, retry.max_attempts as usize - 1);
+    assert_eq!(report.failed_shares, vec![0]);
+    assert_eq!(report.lost_bytes, 1_000_000_000);
+    assert_eq!(report.execution.misses, 1);
+    assert!(report.execution.runs.is_empty());
+    assert!(report.share_files[0].is_empty());
+    assert_eq!(report.crashes + report.preemptions + report.replacements, 0);
+    // The stuck instance was released: terminated at the give-up time and
+    // billed its started hour, on the report and on the ledger alike.
+    assert!(report.finished_at > 120.0, "{}", report.finished_at);
+    assert_eq!(report.execution.instance_hours, 1);
+    assert_eq!(cloud.ledger().total_instance_hours(), 1);
+    assert!((report.execution.cost - cloud.ledger().total_cost()).abs() < 1e-12);
+}
+
+#[test]
+fn exhausted_attach_retries_stop_the_shuffle_in_its_map_phase() {
+    // ~1 s per MB: the shuffle tests' compute model.
+    let xs: Vec<f64> = (1..=20).map(|i| i as f64 * 1.0e6).collect();
+    let ys: Vec<f64> = xs.iter().map(|&x| 1.0e-6 * x).collect();
+    let files: Vec<FileSpec> = (0..6).map(|i| FileSpec::new(i, 2_000 + 137 * i)).collect();
+    let plan = make_plan(
+        Strategy::UniformBins,
+        &files,
+        &fit(ModelKind::Affine, &xs, &ys),
+        10.0,
+    )
+    .unwrap();
+    let cfg = ShuffleConfig {
+        retry: RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        },
+        ..ShuffleConfig::default()
+    };
+    assert_eq!(cfg.exec.staging, StagingTier::Ebs);
+    let faults = attach_failures_on_first_volume(cfg.retry.max_attempts);
+    let mut cloud = Cloud::with_faults(CloudConfig::default(), &faults);
+    let obs = Obs::recording(0);
+    let err =
+        execute_shuffle_observed(&mut cloud, &cfg, &plan, SharingBackend::S3, &obs).unwrap_err();
+    assert_eq!(
+        err,
+        ShuffleError::Cloud(CloudError::AttachFailed(VolumeId(0)))
+    );
+    let log = obs.to_ndjson();
+    assert_eq!(log.matches("shuffle.transient_retries").count(), 1);
+    assert!(!log.contains("shuffle.xfer"), "no transfer may start");
+}
+
+/// `execute_plan` runs every share through the resilient share attempt, so
+/// an instance crash after boot is recovered on a replacement instead of
+/// aborting the run.
+#[test]
+fn execute_plan_finishes_a_crashed_share_on_a_replacement() {
+    let m = grep_fit();
+    let files = corpus_files(40, 100_000_000);
+    let plan = make_plan(Strategy::UniformBins, &files, &m, 20.0).unwrap();
+    assert!(plan.instance_count() >= 2);
+    let mut cloud = Cloud::with_faults(steady_config(3), &crash_first_fleet_instance(125.0));
+    let report = execute_plan(
+        &mut cloud,
+        &plan,
+        &GrepCostModel::default(),
+        &ExecutionConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(cloud.fault_log().len(), 1);
+    assert_eq!(report.runs.len(), plan.instance_count());
+    for (run, share) in report.runs.iter().zip(&plan.instances) {
+        assert_eq!(run.volume, share.volume);
+        assert_eq!(run.files, share.files.len());
+    }
+    assert_ne!(
+        report.runs[0].instance,
+        InstanceId(0),
+        "ran on the crashed instance"
+    );
+}
+
+/// Every executor bills the family's rate on instances launched through the
+/// family, so each report's cost is its hours at that rate and matches the
+/// simulated cloud's ledger.
+#[test]
+fn every_executor_bills_the_configured_family() {
+    let family = InstanceFamily::hi_cpu();
+    let cfg = ExecutionConfig {
+        itype: family.itype,
+        family: Some(family),
+        ..ExecutionConfig::default()
+    };
+    let m = grep_fit();
+    let files = corpus_files(40, 100_000_000);
+    let plan = make_plan(Strategy::UniformBins, &files, &m, 30.0).unwrap();
+    let model = GrepCostModel::default();
+    let check = |name: &str, cloud: &Cloud, report: &provision::ExecutionReport| {
+        assert!(report.instance_hours > 0, "{name}");
+        let billed = report.instance_hours as f64 * family.on_demand_rate;
+        assert!((report.cost - billed).abs() < 1e-9, "{name}: {report:?}");
+        assert!(
+            (report.cost - cloud.ledger().total_cost()).abs() < 1e-9,
+            "{name}: report ${} vs ledger ${}",
+            report.cost,
+            cloud.ledger().total_cost()
+        );
+    };
+
+    let mut cloud = Cloud::new(CloudConfig::ideal(3));
+    let report = execute_plan(&mut cloud, &plan, &model, &cfg).unwrap();
+    check("static", &cloud, &report);
+
+    let mut cloud = Cloud::new(CloudConfig::ideal(3));
+    let report = execute_dynamic(
+        &mut cloud,
+        &plan,
+        &model,
+        &m,
+        &cfg,
+        &DynamicConfig::default(),
+    )
+    .unwrap();
+    check("dynamic", &cloud, &report.execution);
+
+    let mut cloud = Cloud::new(CloudConfig::ideal(3));
+    let report = execute_quality_aware(
+        &mut cloud,
+        &files,
+        &m,
+        30.0,
+        &model,
+        &cfg,
+        &QualityAwareConfig::default(),
+    )
+    .unwrap();
+    check("quality-aware", &cloud, &report.execution);
 }
 
 proptest! {

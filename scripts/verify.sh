@@ -38,23 +38,26 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 if [[ $fast -eq 0 ]]; then
+  # Every SMOKE=1 bin below writes `results/<stem>_smoke.*` (gitignored), so
+  # a verify run never rewrites the committed full-size results.
+  #
   # The benchmark is a package of its own that calls public library items;
   # its self-test runs every workload at a tiny scale, so a change to an
   # item it calls fails here rather than in the benchmark run.
   echo "==> perfbench self-test"
   python3 perfbench/test_perfbench.py
   # The chaos harness already ran under `cargo test -q`; the ablation bin
-  # additionally persists the DegradedReport artifact CI uploads.
-  echo "==> chaos ablation (writes results/CHAOS_seed*.json)"
+  # additionally persists the DegradedReport artifact.
+  echo "==> chaos ablation (writes results/CHAOS_seed0_smoke.{json,csv})"
   SMOKE=1 cargo run --release -q -p bench --bin chaos_ablation
   # Observability smoke: runs the pipeline twice with a recording sink,
   # asserts the same-seed logs are byte-identical and persists the
   # per-phase breakdown CI uploads.
-  echo "==> obs report (writes results/OBS_phase_breakdown.json)"
+  echo "==> obs report (writes results/OBS_phase_breakdown_smoke.json)"
   SMOKE=1 cargo run --release -q -p bench --bin obs_report
   # Scheduler smoke: re-runs the pooled trace asserting byte-identical
   # same-seed logs, then persists the throughput/savings report CI uploads.
-  echo "==> sched report (writes results/SCHED_throughput.json)"
+  echo "==> sched report (writes results/SCHED_throughput_smoke.json)"
   SMOKE=1 cargo run --release -q -p bench --bin sched_report
   # Packing-kernel perf gate: times each fast kernel against its naive
   # reference at smoke sizes, fails if one is more than 1.5x slower at
@@ -64,17 +67,17 @@ if [[ $fast -eq 0 ]]; then
   # Streaming-ingest smoke: replays the seeded arrival trace under each
   # sealing policy, asserts byte-identical replay and flush-only ≡ batch,
   # then persists the throughput report CI uploads.
-  echo "==> ingest report (writes results/BENCH_ingest.json)"
+  echo "==> ingest report (writes results/BENCH_ingest_smoke.json)"
   SMOKE=1 cargo run --release -q -p bench --bin ingest_report
   # Shuffle backend sweep: asserts every sharing backend wins at least one
   # movement regime and that every backend's reduce output reproduces the
   # sequential oracle, then persists the report CI uploads.
-  echo "==> shuffle report (writes results/BENCH_shuffle.json)"
+  echo "==> shuffle report (writes results/BENCH_shuffle_smoke.json)"
   SMOKE=1 cargo run --release -q -p bench --bin shuffle_report
   # Fleet-market frontier: asserts the portfolio dominates or ties both
   # pure strategies at every swept deadline and that same-seed planning
   # logs are byte-identical, then persists the report CI uploads.
-  echo "==> market report (writes results/BENCH_market.json)"
+  echo "==> market report (writes results/BENCH_market_smoke.json)"
   SMOKE=1 cargo run --release -q -p bench --bin market_report
 fi
 

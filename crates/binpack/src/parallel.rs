@@ -103,7 +103,10 @@ pub enum MergePolicy {
     /// repack those boundary items together with the shard algorithm. The
     /// boundary bins are the only ones a shard cut can leave short, so this
     /// recovers almost all of the sequential pack's fill at
-    /// O(shards · items-per-bin) extra work. The default.
+    /// O(shards · items-per-bin) extra work. When the repack would need
+    /// more bins than it pulled (largest-first algorithms can), the pulled
+    /// bins stay as they were, so this never uses more bins than
+    /// [`Concat`](Self::Concat). The default.
     #[default]
     RepackTails,
 }
@@ -172,15 +175,14 @@ pub fn merge_shard_packings(
     policy: MergePolicy,
 ) -> Packing {
     let mut bins: Vec<Bin> = Vec::with_capacity(shard_packs.iter().map(|p| p.len()).sum());
-    let mut tails: Vec<Item> = Vec::new();
+    let mut tails: Vec<Bin> = Vec::new();
     for mut pack in shard_packs {
         debug_assert_eq!(pack.capacity, capacity, "shard packed at wrong capacity");
         if policy == MergePolicy::RepackTails {
             // The last non-oversize bin is the only one the shard boundary
             // can leave short; oversize singletons are boundary-immune.
             if let Some(idx) = pack.bins.iter().rposition(|b| !b.is_oversize()) {
-                let tail = pack.bins.remove(idx);
-                tails.extend(tail.items);
+                tails.push(pack.bins.remove(idx));
             }
         }
         bins.append(&mut pack.bins);
@@ -188,7 +190,15 @@ pub fn merge_shard_packings(
     if !tails.is_empty() {
         // `tails` is in shard order == global input order, so the repack
         // sees the boundary items exactly as a sequential pass would.
-        bins.extend(alg.pack(&tails, capacity).bins);
+        let items: Vec<Item> = tails.iter().flat_map(|b| b.items.iter().copied()).collect();
+        let repacked = alg.pack(&items, capacity);
+        // Only in-order first fit is sure to fit s pulled bins into at most
+        // s bins; a largest-first repack can need one more.
+        if repacked.len() <= tails.len() {
+            bins.extend(repacked.bins);
+        } else {
+            bins.append(&mut tails);
+        }
     }
     let packing = Packing { bins, capacity };
     // No debug_check here: it needs the original items, which the merge does

@@ -6,7 +6,7 @@
 
 use binpack::{
     check_packing_with, pack_sharded, shard_ranges, Algorithm, CheckOptions, Item, MergePolicy,
-    Packing, Parallelism, ShardedConfig,
+    Packing, Parallelism, ShardedConfig, StreamConfig, StreamPacker,
 };
 use proptest::prelude::*;
 
@@ -144,4 +144,45 @@ proptest! {
             }
         }
     }
+}
+
+/// `RepackTails` must never use more bins than `Concat`. Here each shard
+/// packs into one full bin, and repacking the two pulled bins largest-first
+/// (subset-sum first fit, first fit decreasing) needs three: 4+4, 3+3+2, 2.
+#[test]
+fn repack_tails_never_adds_a_bin() {
+    let items = Item::from_sizes(&[2, 4, 3, 3, 4, 2]);
+    for alg in Algorithm::ALL {
+        let pack = |merge| {
+            pack_sharded(
+                alg,
+                &items,
+                9,
+                ShardedConfig { shards: 2, merge },
+                Parallelism::Sequential,
+            )
+        };
+        let concat = pack(MergePolicy::Concat);
+        let repack = pack(MergePolicy::RepackTails);
+        assert_eq!(concat.bin_sizes(), vec![9, 9], "{alg:?}");
+        assert!(
+            repack.len() <= concat.len(),
+            "{alg:?}: RepackTails {:?} against Concat {:?}",
+            repack.bin_sizes(),
+            concat.bin_sizes()
+        );
+        check(&items, &repack, "repack tails");
+    }
+
+    // The stream packer merges its segments the same way.
+    let mut stream = StreamPacker::new(StreamConfig::new(9));
+    for (i, item) in items.iter().enumerate() {
+        stream.admit(*item, i as f64);
+        if i == 2 {
+            stream.seal_now(i as f64);
+        }
+    }
+    let out = stream.finish(items.len() as f64);
+    assert_eq!(out.packing.bin_sizes(), vec![9, 9]);
+    check(&items, &out.packing, "stream");
 }

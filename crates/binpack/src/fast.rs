@@ -5,10 +5,13 @@
 //! produces a **bitwise identical** [`Packing`] — same bins, same order,
 //! same members — it only changes how the next placement is found:
 //!
-//! * [`subset_sum_first_fit`][]: the "largest remaining item that still fits"
-//!   lookup runs against a sorted multiset (`BTreeSet` keyed by
-//!   `(size, Reverse(position))`) instead of rescanning the descending item
-//!   list per bin. O(n²) → O(n log n).
+//! * [`subset_sum_first_fit`][]: one stable LSD radix sort puts the items
+//!   in the reference's scan order (size descending, then position), and
+//!   each "largest remaining item that still fits" draw is a galloping
+//!   search forward over that order plus a next-untaken union-find lookup,
+//!   instead of a rescan of the whole list per bin. O(n²) → O(n log n)
+//!   worst case, over flat arrays only (timings in
+//!   `results/BENCH_packing.json`).
 //! * [`first_fit`][]: "first open bin with room" runs against a max
 //!   segment tree over per-bin free space ([`crate::segtree`]) instead of a
 //!   linear bin scan. O(n·bins) → O(n log n).
@@ -35,7 +38,9 @@
 //! segment tree (sized to *bins*, not items) this keeps the transient
 //! footprint at paper scale (18M items) to one `u32` per item plus the
 //! index structures, instead of ~1 GB of pre-sized tree and doubling bin
-//! vectors.
+//! vectors. Subset-sum's index structures are three flat arrays — an 8-byte
+//! sort key, a `u32` position and a `u32` union-find link per fitting item
+//! — plus one scratch copy of the first two while the radix sort runs.
 //!
 //! Equivalence is pinned by differential property tests in
 //! `tests/properties.rs`, which compare against the retained naive
@@ -95,10 +100,12 @@ fn bins_from_assignment<'a>(
 ///
 /// Semantics are identical to [`crate::naive_subset_sum_first_fit`]; see
 /// that function for the full contract (oversize handling, tie-breaking,
-/// within-bin ordering). This version indexes the open items in a sorted
-/// multiset so each "largest item that still fits" draw is one range lookup,
-/// and records draws into the assignment arena — the final in-order
-/// reconstruction replaces the per-bin position sort of the reference.
+/// within-bin ordering). The reference rescans its size-descending list for
+/// every bin; this version finds each "largest item that still fits" with a
+/// galloping search over the same list and skips taken items with a
+/// next-untaken union-find, and records draws into the assignment arena —
+/// the final in-order reconstruction replaces the per-bin position sort of
+/// the reference.
 pub fn subset_sum_first_fit(items: &[Item], capacity: u64) -> Packing {
     assert!(capacity > 0, "bin capacity must be positive");
     assert_indexable(items.len());
@@ -112,32 +119,37 @@ pub fn subset_sum_first_fit(items: &[Item], capacity: u64) -> Packing {
         counts.push(1);
     }
 
-    // Open items keyed by (size, Reverse(position)): the maximum key at or
-    // below (free, Reverse(0)) is the largest fitting item, earliest input
-    // position among equals — the same item the descending scan would take.
-    let mut open: BTreeSet<(u64, Reverse<usize>)> = items
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| i.size <= capacity)
-        .map(|(pos, i)| (i.size, Reverse(pos)))
-        .collect();
-
-    while !open.is_empty() {
-        let bin = counts.len();
+    // The reference's scan order: keys[k] = top − size ascending is size
+    // descending, and the stable sort keeps equal sizes in input order.
+    let (top, keys, order) = sorted_by_size_descending(items, capacity);
+    let m = order.len();
+    // next[k] is k while the k-th item is untaken; taking it links k to
+    // k + 1. Slot m is the sentinel "none left".
+    let mut next: Vec<u32> = (0..=index_u32(m)).collect();
+    let mut left = m;
+    while left > 0 {
+        let bin = index_u32(counts.len());
         counts.push(0);
         let mut free = capacity;
-        while free > 0 {
-            let Some(&key) = open.range(..=(free, Reverse(0usize))).next_back() else {
-                break;
-            };
-            open.remove(&key);
-            let (size, Reverse(pos)) = key;
-            free -= size;
-            bin_of[pos] = index_u32(bin);
-            counts[bin] += 1;
-            if open.is_empty() {
+        let mut from = 0;
+        loop {
+            // Every untaken item before `from` was too large for a larger
+            // free space, so the first untaken item from the first fitting
+            // index on is the one the descending scan takes.
+            let fits = gallop(&keys, from, top.saturating_sub(free));
+            let pick = next_untaken(&mut next, fits);
+            if pick == m {
                 break;
             }
+            next[pick] = index_u32(pick + 1);
+            free -= top - keys[pick];
+            bin_of[order[pick] as usize] = bin;
+            counts[bin as usize] += 1;
+            left -= 1;
+            if free == 0 || left == 0 {
+                break;
+            }
+            from = pick + 1;
         }
     }
 
@@ -145,6 +157,89 @@ pub fn subset_sum_first_fit(items: &[Item], capacity: u64) -> Packing {
     let packing = Packing { bins, capacity };
     check::debug_check(items, &packing);
     packing
+}
+
+/// Bits per radix digit: 2¹¹ counters fit in L1, and HTML_18mil's file
+/// sizes (up to 43 MB) sort in three passes.
+const DIGIT_BITS: u32 = 11;
+
+/// The positions of the items that fit `capacity`, ordered by size
+/// descending and then by position, as `(top, keys, positions)` with
+/// `keys[k] = top − size` ascending and `top` the largest fitting size.
+///
+/// A stable LSD radix sort on the key: it runs only as many digit passes as
+/// the key span needs, and every pass reads both arrays in order.
+fn sorted_by_size_descending(items: &[Item], capacity: u64) -> (u64, Vec<u64>, Vec<u32>) {
+    let fitting = || items.iter().filter(|i| i.size <= capacity);
+    let top = fitting().map(|i| i.size).max().unwrap_or(0);
+    let mut keys: Vec<u64> = fitting().map(|i| top - i.size).collect();
+    let mut order: Vec<u32> = (0..index_u32(items.len()))
+        .filter(|&p| items[p as usize].size <= capacity)
+        .collect();
+    let span = keys.iter().copied().max().unwrap_or(0);
+    let passes = (u64::BITS - span.leading_zeros()).div_ceil(DIGIT_BITS);
+    if passes == 0 {
+        return (top, keys, order);
+    }
+    let digit = |key: u64, shift: u32| (key >> shift) as usize & ((1 << DIGIT_BITS) - 1);
+    let mut keys_out = vec![0u64; keys.len()];
+    let mut order_out = vec![0u32; order.len()];
+    for pass in 0..passes {
+        let shift = pass * DIGIT_BITS;
+        let mut start = [0usize; 1 << DIGIT_BITS];
+        for &key in &keys {
+            start[digit(key, shift)] += 1;
+        }
+        let mut sum = 0;
+        for slot in start.iter_mut() {
+            let count = *slot;
+            *slot = sum;
+            sum += count;
+        }
+        for (&key, &pos) in keys.iter().zip(&order) {
+            let d = digit(key, shift);
+            keys_out[start[d]] = key;
+            order_out[start[d]] = pos;
+            start[d] += 1;
+        }
+        std::mem::swap(&mut keys, &mut keys_out);
+        std::mem::swap(&mut order, &mut order_out);
+    }
+    (top, keys, order)
+}
+
+/// The first index at or after `from` whose key is at least `threshold`
+/// (`keys.len()` when none is): an exponential probe forward from `from`,
+/// then a binary search inside the last step. Costs O(log distance).
+fn gallop(keys: &[u64], from: usize, threshold: u64) -> usize {
+    if keys.get(from).is_none_or(|&k| k >= threshold) {
+        return from.min(keys.len());
+    }
+    // keys[lo] < threshold throughout; the answer lies in (lo, hi].
+    let mut lo = from;
+    let mut step = 1;
+    let hi = loop {
+        let probe = lo + step;
+        if probe >= keys.len() {
+            break keys.len();
+        }
+        if keys[probe] >= threshold {
+            break probe;
+        }
+        lo = probe;
+        step *= 2;
+    };
+    lo + 1 + keys[lo + 1..hi].partition_point(|&k| k < threshold)
+}
+
+/// The first untaken index at or after `k`, halving the path it walks.
+fn next_untaken(next: &mut [u32], mut k: usize) -> usize {
+    while next[k] as usize != k {
+        let up = next[next[k] as usize];
+        next[k] = up;
+        k = up as usize;
+    }
+    k
 }
 
 /// First fit over items in their input order, backed by a segment tree.
@@ -270,6 +365,12 @@ pub fn uniform_k_bins(items: &[Item], k: usize) -> Packing {
     let total: u64 = items.iter().map(|i| i.size).sum();
     let target = total.div_ceil(k as u64).max(1);
 
+    // The std sort, not subset-sum's radix sort: a planner's job is ~430
+    // unit files that are all 1 MB but the last, which the std sort orders
+    // in one linear pass and a radix sort in several. Routed through the
+    // radix sort, `multitenant_trace` (`--trace 1`, seeds 1–2) spent
+    // 1.07–1.35 s in `market.plan_s` instead of 0.56–0.87 s, and
+    // 0.38–0.47 s in `sched.admit_s` instead of 0.19–0.29 s.
     let mut order: Vec<u32> = (0..index_u32(items.len())).collect();
     order.sort_by(|&a, &b| {
         items[b as usize]

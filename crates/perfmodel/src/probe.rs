@@ -82,38 +82,9 @@ fn bins_to_files(bins: &binpack::Packing, source: &[FileSpec]) -> Vec<FileSpec> 
 
 /// Build the full probe chain for one volume: original segmentation, the
 /// `s0` packing, and derived multiples `factor · s0` for each factor.
+/// [`build_probe_chain_par`] run sequentially.
 pub fn build_probe_chain(subset: &Manifest, s0: u64, factors: &[usize]) -> Vec<ProbePoint> {
-    let volume = subset.total_volume();
-    let mut points = Vec::with_capacity(factors.len() + 2);
-    points.push(ProbePoint {
-        volume,
-        unit: UnitSize::Original,
-        files: subset.files.clone(),
-    });
-    let items: Vec<Item> = subset
-        .files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| Item::new(i as u64, f.size))
-        .collect();
-    let base = subset_sum_first_fit(&items, s0);
-    points.push(ProbePoint {
-        volume,
-        unit: UnitSize::Bytes(s0),
-        files: bins_to_files(&base, &subset.files),
-    });
-    for &m in factors {
-        if m <= 1 {
-            continue;
-        }
-        let merged = derive_merged(&base, m);
-        points.push(ProbePoint {
-            volume,
-            unit: UnitSize::Bytes(s0 * m as u64),
-            files: bins_to_files(&merged, &subset.files),
-        });
-    }
-    points
+    build_probe_chain_par(subset, s0, factors, Parallelism::Sequential)
 }
 
 /// [`build_probe_chain`] with the derived unit sizes constructed

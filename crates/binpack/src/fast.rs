@@ -133,9 +133,10 @@ pub fn subset_sum_first_fit(items: &[Item], capacity: u64) -> Packing {
         let mut free = capacity;
         let mut from = 0;
         loop {
-            // Every untaken item before `from` was too large for a larger
-            // free space, so the first untaken item from the first fitting
-            // index on is the one the descending scan takes.
+            // Every untaken item before `from` was too large for this bin
+            // at an earlier draw, and `free` only shrinks, so the first
+            // untaken item from the first fitting index on is the one the
+            // descending scan takes.
             let fits = gallop(&keys, from, top.saturating_sub(free));
             let pick = next_untaken(&mut next, fits);
             if pick == m {
@@ -208,12 +209,13 @@ fn sorted_by_size_descending(items: &[Item], capacity: u64) -> (u64, Vec<u64>, V
     (top, keys, order)
 }
 
-/// The first index at or after `from` whose key is at least `threshold`
-/// (`keys.len()` when none is): an exponential probe forward from `from`,
-/// then a binary search inside the last step. Costs O(log distance).
+/// The first index at or after `from` (at most `keys.len()`) whose key is
+/// at least `threshold`, or `keys.len()` when none is: an exponential probe
+/// forward from `from`, then a binary search inside the last step. Costs
+/// O(log distance).
 fn gallop(keys: &[u64], from: usize, threshold: u64) -> usize {
-    if keys.get(from).is_none_or(|&k| k >= threshold) {
-        return from.min(keys.len());
+    if from == keys.len() || keys[from] >= threshold {
+        return from;
     }
     // keys[lo] < threshold throughout; the answer lies in (lo, hi].
     let mut lo = from;

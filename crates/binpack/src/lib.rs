@@ -13,7 +13,8 @@
 //!   best-fit, next-fit and worst-fit for comparison/ablation,
 //! * **one O(n log n) kernel per algorithm**: [`subset_sum_first_fit`],
 //!   [`first_fit`], [`best_fit`] and [`uniform_k_bins`] are backed by a
-//!   sorted multiset, a segment tree, an ordered set and a min-heap
+//!   radix-sorted array searched by galloping with a next-untaken
+//!   union-find, a segment tree, an ordered set and a min-heap
 //!   respectively, and produce bitwise identical packings to the quadratic
 //!   `naive_*` scans — which stay public only as the reference for the
 //!   differential tests and the baseline of the perf gate,

@@ -11,7 +11,7 @@
 //!
 //! `--smoke` / `SMOKE=1` shrinks the corpus for CI-speed runs.
 
-use bench::{fmt_bytes, smoke, write_json, Table};
+use bench::{fmt_bytes, smoke, write_json, Provenance, Table};
 use binpack::{MergePolicy, SealPolicy};
 use corpus::{ArrivalConfig, ArrivalOrder};
 use obs::Obs;
@@ -43,8 +43,7 @@ struct PolicyRow {
 
 #[derive(Debug, Serialize)]
 struct Report {
-    corpus_files: usize,
-    corpus_bytes: u64,
+    provenance: Provenance,
     unit_bytes: u64,
     arrival_seed: u64,
     replay_byte_identical: bool,
@@ -209,8 +208,7 @@ fn main() {
     table.print();
 
     let report = Report {
-        corpus_files: manifest.len(),
-        corpus_bytes: manifest.total_volume(),
+        provenance: Provenance::of_run(manifest.len(), manifest.total_volume()),
         unit_bytes: UNIT,
         arrival_seed: ARRIVAL_SEED,
         replay_byte_identical: identical,

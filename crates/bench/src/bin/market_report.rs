@@ -19,7 +19,7 @@
 //!
 //! `--smoke` / `SMOKE=1` shrinks the sweep for CI-speed runs.
 
-use bench::{smoke, write_json, Table};
+use bench::{smoke, write_json, Provenance, Table};
 use corpus::FileSpec;
 use ec2sim::{AvailabilityZone, Cloud, CloudConfig, DataLocation, InstanceType, NoiseModel};
 use market::{
@@ -68,9 +68,8 @@ struct ExecutionRow {
 
 #[derive(Debug, Serialize)]
 struct Report {
-    corpus_files: usize,
+    provenance: Provenance,
     file_bytes: u64,
-    total_bytes: u64,
     price_seed: u64,
     catalog: Vec<String>,
     log_byte_identical_across_runs: bool,
@@ -278,9 +277,8 @@ fn main() {
     );
 
     let report = Report {
-        corpus_files: files.len(),
+        provenance: Provenance::of_run(files.len(), file_bytes * n_files),
         file_bytes,
-        total_bytes: file_bytes * n_files,
         price_seed: SEED,
         catalog: cfg
             .catalog

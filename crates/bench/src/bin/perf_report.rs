@@ -22,7 +22,7 @@
 //! for the sequential kernel entries and the real worker count for the
 //! sharded entries.
 
-use bench::{smoke, write_json, Table, RESULTS_DIR};
+use bench::{smoke, write_json, Provenance, Table, RESULTS_DIR};
 use binpack::{
     best_fit, first_fit, merge_shard_packings, naive_best_fit, naive_first_fit,
     naive_subset_sum_first_fit, pack_sharded, subset_sum_first_fit, Algorithm, Item, MergePolicy,
@@ -101,17 +101,24 @@ struct ParallelEntry {
 
 #[derive(Debug, Serialize)]
 struct Report {
+    /// The largest input swept is the report's corpus.
+    provenance: Provenance,
     capacity: u64,
-    /// Worker count `Parallelism::default()` resolves to on this host.
-    host_threads: usize,
     corpus: &'static str,
     entries: Vec<Entry>,
     parallel: Vec<ParallelEntry>,
 }
 
+fn corpus(n: usize) -> corpus::Manifest {
+    corpus::html_18mil(n as f64 / PAPER_SCALE_ITEMS as f64, 77)
+}
+
 fn corpus_items(n: usize) -> Vec<Item> {
-    let m = corpus::html_18mil(n as f64 / PAPER_SCALE_ITEMS as f64, 77);
-    m.files.iter().map(|f| Item::new(f.id, f.size)).collect()
+    corpus(n)
+        .files
+        .iter()
+        .map(|f| Item::new(f.id, f.size))
+        .collect()
 }
 
 fn time_once(f: impl FnOnce() -> Packing) -> f64 {
@@ -376,16 +383,20 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000);
 
-    let host_threads = Parallelism::default().effective_workers();
-    println!("host parallelism: {host_threads} worker(s)");
+    println!(
+        "host parallelism: {} worker(s)",
+        Parallelism::default().effective_workers()
+    );
 
     let entries = kernel_sweep(sizes, naive_max);
     let emit_obs_for = (!smoke()).then_some(PAPER_SCALE_ITEMS);
     let parallel = parallel_sweep(parallel_sizes, thread_counts, emit_obs_for);
 
+    let largest_n = sizes.iter().chain(parallel_sizes).max();
+    let largest = corpus(*largest_n.expect("the sweep sizes are not empty"));
     let report = Report {
+        provenance: Provenance::of_run(largest.len(), largest.total_volume()),
         capacity: CAPACITY,
-        host_threads,
         corpus: "html_18mil",
         entries,
         parallel,

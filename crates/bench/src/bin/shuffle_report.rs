@@ -14,7 +14,7 @@
 //! `--smoke` / `SMOKE=1` shrinks the end-to-end corpus; the planner
 //! sweep is pure arithmetic and runs at full size everywhere.
 
-use bench::{fmt_bytes, smoke, write_json, Table};
+use bench::{fmt_bytes, smoke, write_json, Provenance, Table};
 use corpus::FileSpec;
 use ec2sim::{AvailabilityZone, Cloud, CloudConfig, SharingBackend};
 use obs::Obs;
@@ -64,12 +64,11 @@ struct ExecRow {
 
 #[derive(Debug, Serialize)]
 struct Report {
+    provenance: Provenance,
     seed: u64,
     p_miss: f64,
     backends_that_win: Vec<String>,
     sweep: Vec<SweepRow>,
-    corpus_files: usize,
-    corpus_bytes: u64,
     planned_backend: String,
     planned_total_cost: f64,
     executions: Vec<ExecRow>,
@@ -235,12 +234,11 @@ fn main() {
     exec_table.print();
 
     let report = Report {
+        provenance: Provenance::of_run(files.len(), corpus_bytes),
         seed: SEED,
         p_miss: P_MISS,
         backends_that_win: winners,
         sweep,
-        corpus_files: files.len(),
-        corpus_bytes,
         planned_backend: label(agg.plan.backend),
         planned_total_cost: agg.exec.total_cost(),
         executions,

@@ -5,7 +5,8 @@
 //! plots and writes a CSV under `results/`. Pass `--smoke` (or set
 //! `SMOKE=1`) to shrink scales for CI-speed runs; the shapes survive, the
 //! resolution drops, and every artifact goes to a `<stem>_smoke.*` sibling
-//! so a smoke run never overwrites a committed full-size result.
+//! so a smoke run never overwrites a committed full-size result. Every
+//! `BENCH_*.json` report opens with the same [`Provenance`] header.
 
 #![forbid(unsafe_code)]
 
@@ -43,6 +44,55 @@ pub fn write_json<T: serde::Serialize>(stem: &str, value: &T) {
     let path = result_path(stem, "json").expect("results dir");
     std::fs::write(&path, json + "\n").expect("write result json");
     println!("[json] {}", path.display());
+}
+
+/// The header every `results/BENCH_*.json` report carries as its
+/// `provenance` field: what produced the numbers below it.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+pub struct Provenance {
+    /// The commit the checkout was at, from `.git/HEAD`; `"unknown"`
+    /// outside a git checkout.
+    pub git_rev: String,
+    /// Worker count the default `Parallelism` resolves to on this host.
+    pub host_threads: usize,
+    /// True for a shrunken [`smoke`] run.
+    pub smoke: bool,
+    /// Files in the report's input corpus.
+    pub corpus_files: usize,
+    /// Bytes in the report's input corpus.
+    pub corpus_bytes: u64,
+}
+
+impl Provenance {
+    /// The provenance of this process's run over a corpus of
+    /// `corpus_files` files totalling `corpus_bytes` bytes.
+    pub fn of_run(corpus_files: usize, corpus_bytes: u64) -> Self {
+        Provenance {
+            git_rev: git_rev(),
+            host_threads: binpack::Parallelism::default().effective_workers(),
+            smoke: smoke(),
+            corpus_files,
+            corpus_bytes,
+        }
+    }
+}
+
+/// The commit the working directory's checkout is at: `.git/HEAD`, through
+/// one `ref:` indirection. Reads the files as the benchmark does, so the
+/// reports need no git binary.
+fn git_rev() -> String {
+    let read = |p: &str| {
+        std::fs::read_to_string(p)
+            .ok()
+            .map(|s| s.trim().to_string())
+    };
+    match read(".git/HEAD") {
+        Some(head) => match head.strip_prefix("ref: ") {
+            Some(r) => read(&format!(".git/{r}")).unwrap_or_else(|| "unknown".into()),
+            None => head,
+        },
+        None => "unknown".into(),
+    }
 }
 
 /// An ASCII table that can also persist itself as CSV.

@@ -179,9 +179,6 @@ fn sorted_by_size_descending(items: &[Item], capacity: u64) -> (u64, Vec<u64>, V
         .collect();
     let span = keys.iter().copied().max().unwrap_or(0);
     let passes = (u64::BITS - span.leading_zeros()).div_ceil(DIGIT_BITS);
-    if passes == 0 {
-        return (top, keys, order);
-    }
     let digit = |key: u64, shift: u32| (key >> shift) as usize & ((1 << DIGIT_BITS) - 1);
     let mut keys_out = vec![0u64; keys.len()];
     let mut order_out = vec![0u32; order.len()];

@@ -96,11 +96,11 @@ pub fn first_fit_decreasing(items: &[Item], capacity: u64) -> Packing {
         "packing arena supports at most {} items",
         u32::MAX
     );
-    // The std sort, not subset-sum's radix sort: only the packing ablation
-    // and the algorithm sweeps call this, so a faster sort would show on no
-    // benchmark workload, and the one sort measured on the radix path
-    // besides subset-sum's (`uniform_k_bins`) got slower: `market.plan_s`
-    // 0.56–0.87 s → 1.07–1.35 s on `multitenant_trace`.
+    // The std sort, not subset-sum's radix sort. No benchmark workload
+    // calls this (only the packing ablation and the algorithm sweeps do),
+    // and the one other sort tried on the radix path, `uniform_k_bins`'s,
+    // made `multitenant_trace` slower: `market.plan_s` 0.56–0.87 s →
+    // 1.07–1.35 s (`--trace 1`, seeds 1–2).
     let mut order: Vec<u32> = (0..crate::fast::index_u32(items.len())).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(items[i as usize].size));
     crate::fast::first_fit_order(items, &order, capacity)

@@ -193,7 +193,8 @@ pub fn merge_shard_packings(
         let items: Vec<Item> = tails.iter().flat_map(|b| b.items.iter().copied()).collect();
         let repacked = alg.pack(&items, capacity);
         // Only in-order first fit is sure to fit s pulled bins into at most
-        // s bins; a largest-first repack can need one more.
+        // s bins; a largest-first repack can need more, and then the pulled
+        // bins stay as they were.
         if repacked.len() <= tails.len() {
             bins.extend(repacked.bins);
         } else {

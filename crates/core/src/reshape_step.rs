@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 /// Manifests with at least this many files take the sharded parallel pack;
 /// smaller ones take one single-shot pack. A single-shot subset-sum first
-/// fit of 10⁵ corpus-shaped items takes about 30 ms
+/// fit of 10⁵ corpus-shaped items takes about 4 ms
 /// (`results/BENCH_packing.json`), so below this size sharding has little
 /// time to save and would only add part-filled bins at the shard cuts.
 pub const PAR_PACK_MIN_ITEMS: usize = 65_536;

@@ -48,7 +48,7 @@ pub fn write_json<T: serde::Serialize>(stem: &str, value: &T) {
 
 /// The header every `results/BENCH_*.json` report carries as its
 /// `provenance` field: what produced the numbers below it.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, serde::Serialize)]
 pub struct Provenance {
     /// The commit the checkout was at, from `.git/HEAD`; `"unknown"`
     /// outside a git checkout.

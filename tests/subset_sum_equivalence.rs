@@ -28,14 +28,11 @@ fn assert_fast_matches_naive(items: &[Item], capacity: u64, what: &str) {
     );
 }
 
-/// `n` sizes drawn uniformly from `lo..=hi` by a seeded splitmix64 stream.
+/// `n` sizes drawn uniformly from `lo..=hi` (`hi < u64::MAX`) by a seeded
+/// splitmix64 stream.
 fn uniform_sizes(n: usize, lo: u64, hi: u64, seed: u64) -> Vec<u64> {
-    let span = hi - lo;
     (0..n as u64)
-        .map(|i| {
-            let r = splitmix64(seed ^ i);
-            lo + if span == u64::MAX { r } else { r % (span + 1) }
-        })
+        .map(|i| lo + splitmix64(seed ^ i) % (hi - lo + 1))
         .collect()
 }
 

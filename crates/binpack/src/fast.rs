@@ -40,7 +40,7 @@
 //! index structures, instead of ~1 GB of pre-sized tree and doubling bin
 //! vectors. Subset-sum's index structures are three flat arrays — an 8-byte
 //! sort key, a `u32` position and a `u32` union-find link per fitting item
-//! — plus one scratch copy of the first two while the radix sort runs.
+//! — plus a second buffer for the first two while the radix sort runs.
 //!
 //! Equivalence is pinned by differential property tests in
 //! `tests/properties.rs`, which compare against the retained naive

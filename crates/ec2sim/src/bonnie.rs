@@ -36,6 +36,24 @@ pub struct ScreeningPolicy {
     pub max_attempts: usize,
 }
 
+impl ScreeningPolicy {
+    /// The §4 verdict over repeated block-read measurements, MB/s: every
+    /// read above `min_mbps` and their coefficient of variation within
+    /// `max_cv`.
+    fn accepts(&self, reads: &[f64]) -> bool {
+        let mean = reads.iter().sum::<f64>() / reads.len() as f64;
+        let cv = if reads.len() > 1 {
+            let var =
+                reads.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (reads.len() - 1) as f64;
+            var.sqrt() / mean
+        } else {
+            0.0
+        };
+        let min = reads.iter().cloned().fold(f64::INFINITY, f64::min);
+        min > self.min_mbps && cv <= self.max_cv
+    }
+}
+
 impl Default for ScreeningPolicy {
     fn default() -> Self {
         ScreeningPolicy {
@@ -50,24 +68,9 @@ impl Default for ScreeningPolicy {
 /// Run a bonnie++-style measurement: a ~1 GB block read/write against the
 /// local store, observed through the usual noise model. Advances the clock.
 pub fn run_bonnie(cloud: &mut Cloud, inst: InstanceId) -> Result<BonnieReport, CloudError> {
-    const PROBE_BYTES: f64 = 1.0e9;
-    let q = cloud.quality(inst)?;
-    // Noise-observe the read and write phases separately via tiny app runs.
-    let noise = cloud.config().noise;
-    let jitter = q.jitter_rel;
-    // Use cloud's deterministic RNG by advancing through run_app-like
-    // observation: reconstruct with a local seed derived from time+id.
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(
-        (cloud.now().to_bits()) ^ inst.0.wrapping_mul(0xA24B_AED4_963E_E407),
-    );
-    let read_secs = noise.observe(&mut rng, PROBE_BYTES / q.io_bps, jitter);
-    let write_secs = noise.observe(&mut rng, PROBE_BYTES / (q.io_bps * 0.9), jitter);
-    cloud.advance(read_secs + write_secs);
-    Ok(BonnieReport {
-        block_read_mbps: PROBE_BYTES / read_secs / 1.0e6,
-        block_write_mbps: PROBE_BYTES / write_secs / 1.0e6,
-        duration_s: read_secs + write_secs,
-    })
+    let (report, _) = run_bonnie_at(cloud, inst, cloud.now())?;
+    cloud.advance(report.duration_s);
+    Ok(report)
 }
 
 /// bonnie on the **instance's own timeline** (for fleet screening during
@@ -129,15 +132,7 @@ pub fn screen_at(
         reads.push(report.block_read_mbps);
         t = end;
     }
-    let mean = reads.iter().sum::<f64>() / reads.len() as f64;
-    let cv = if reads.len() > 1 {
-        let var = reads.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (reads.len() - 1) as f64;
-        var.sqrt() / mean
-    } else {
-        0.0
-    };
-    let min = reads.iter().cloned().fold(f64::INFINITY, f64::min);
-    Ok((min > policy.min_mbps && cv <= policy.max_cv, t))
+    Ok((policy.accepts(&reads), t))
 }
 
 /// Acquire an instance that passes `policy`: launch, measure `repeats`
@@ -152,20 +147,10 @@ pub fn acquire_good_instance(
     for attempt in 1..=policy.max_attempts {
         let id = cloud.launch(itype, zone)?;
         cloud.wait_until_running(id)?;
-        let reports: Vec<BonnieReport> = (0..policy.repeats)
-            .map(|_| run_bonnie(cloud, id))
+        let reads: Vec<f64> = (0..policy.repeats)
+            .map(|_| run_bonnie(cloud, id).map(|r| r.block_read_mbps))
             .collect::<Result<_, _>>()?;
-        let reads: Vec<f64> = reports.iter().map(|r| r.block_read_mbps).collect();
-        let mean = reads.iter().sum::<f64>() / reads.len() as f64;
-        let cv = if reads.len() > 1 {
-            let var =
-                reads.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (reads.len() - 1) as f64;
-            var.sqrt() / mean
-        } else {
-            0.0
-        };
-        let min = reads.iter().cloned().fold(f64::INFINITY, f64::min);
-        if min > policy.min_mbps && cv <= policy.max_cv {
+        if policy.accepts(&reads) {
             return Ok((id, attempt));
         }
         cloud.terminate(id)?;

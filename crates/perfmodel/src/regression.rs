@@ -15,6 +15,7 @@
 //! comparable), residuals and relative residuals, and can be inverted to
 //! answer "how much volume fits before deadline D".
 
+use crate::weighted::fit_weighted_checked;
 use serde::{Deserialize, Serialize};
 
 /// The model families.
@@ -221,7 +222,8 @@ pub(crate) fn check_samples(kind: ModelKind, xs: &[f64], ys: &[f64]) -> Result<(
     Ok(())
 }
 
-fn finish(kind: ModelKind, a: f64, b: f64, xs: &[f64], ys: &[f64]) -> Fit {
+/// A fit with coefficients `a`, `b`: its residuals and original-scale R².
+pub(crate) fn finish(kind: ModelKind, a: f64, b: f64, xs: &[f64], ys: &[f64]) -> Fit {
     let mut fit = Fit {
         kind,
         a,
@@ -260,9 +262,13 @@ fn finish(kind: ModelKind, a: f64, b: f64, xs: &[f64], ys: &[f64]) -> Fit {
 /// typed [`FitError`]. In particular the log-space families (every kind
 /// except `Affine`) reject non-positive samples instead of silently
 /// producing NaN coefficients.
+///
+/// This is the weighted fit with unit weights: multiplying by 1.0 is exact
+/// and the weights sum to exactly `n`, so it is ordinary least squares to
+/// the bit.
 pub fn try_fit(kind: ModelKind, xs: &[f64], ys: &[f64]) -> Result<Fit, FitError> {
     check_samples(kind, xs, ys)?;
-    Ok(fit_checked(kind, xs, ys))
+    Ok(fit_weighted_checked(kind, xs, ys, &vec![1.0; xs.len()]))
 }
 
 /// Fit one family to the observations, panicking on invalid input.
@@ -276,74 +282,6 @@ pub fn fit(kind: ModelKind, xs: &[f64], ys: &[f64]) -> Fit {
         // lint:allow(RL002, panicking facade over try_fit preserves the original API contract)
         Err(e) => panic!("{e}"),
     }
-}
-
-/// The fitting kernels, after `check_samples` has validated the input.
-fn fit_checked(kind: ModelKind, xs: &[f64], ys: &[f64]) -> Fit {
-    let n = xs.len() as f64;
-    match kind {
-        ModelKind::Linear => {
-            // Y = ln a + X  =>  ln a = mean(Y − X).
-            let ln_a = xs
-                .iter()
-                .zip(ys)
-                .map(|(&x, &y)| y.ln() - x.ln())
-                .sum::<f64>()
-                / n;
-            finish(kind, ln_a.exp(), 0.0, xs, ys)
-        }
-        ModelKind::Affine => {
-            // Plain OLS in linear space.
-            let mx = xs.iter().sum::<f64>() / n;
-            let my = ys.iter().sum::<f64>() / n;
-            let sxy: f64 = xs.iter().zip(ys).map(|(&x, &y)| (x - mx) * (y - my)).sum();
-            let sxx: f64 = xs.iter().map(|&x| (x - mx).powi(2)).sum();
-            let a = sxy / sxx;
-            let b = my - a * mx;
-            finish(kind, a, b, xs, ys)
-        }
-        ModelKind::PowerLaw => {
-            let (ln_a, b) = ols(
-                &xs.iter().map(|&x| x.ln()).collect::<Vec<_>>(),
-                &ys.iter().map(|&y| y.ln()).collect::<Vec<_>>(),
-            );
-            finish(kind, ln_a.exp(), b, xs, ys)
-        }
-        ModelKind::LogQuad => {
-            // Y = a·X² + b·X with X = ln x (no intercept): normal equations.
-            let lx: Vec<f64> = xs.iter().map(|&x| x.ln()).collect();
-            let ly: Vec<f64> = ys.iter().map(|&y| y.ln()).collect();
-            let s22: f64 = lx.iter().map(|&x| x.powi(4)).sum();
-            let s21: f64 = lx.iter().map(|&x| x.powi(3)).sum();
-            let s11: f64 = lx.iter().map(|&x| x.powi(2)).sum();
-            let t2: f64 = lx.iter().zip(&ly).map(|(&x, &y)| x * x * y).sum();
-            let t1: f64 = lx.iter().zip(&ly).map(|(&x, &y)| x * y).sum();
-            let det = s22 * s11 - s21 * s21;
-            let (a, b) = if det.abs() < 1e-12 {
-                // lint:allow(RL004, exact-zero guard against division by a zero moment)
-                (0.0, if s11 != 0.0 { t1 / s11 } else { 0.0 })
-            } else {
-                ((t2 * s11 - t1 * s21) / det, (s22 * t1 - s21 * t2) / det)
-            };
-            finish(kind, a, b, xs, ys)
-        }
-        ModelKind::Exponential => {
-            let (ln_a, b) = ols(xs, &ys.iter().map(|&y| y.ln()).collect::<Vec<_>>());
-            finish(kind, ln_a.exp(), b, xs, ys)
-        }
-    }
-}
-
-/// Intercept+slope OLS; returns (intercept, slope).
-fn ols(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let sxy: f64 = xs.iter().zip(ys).map(|(&x, &y)| (x - mx) * (y - my)).sum();
-    let sxx: f64 = xs.iter().map(|&x| (x - mx).powi(2)).sum();
-    // lint:allow(RL004, exact-zero guard: identical x-values give a literal zero variance)
-    let slope = if sxx == 0.0 { 0.0 } else { sxy / sxx };
-    (my - slope * mx, slope)
 }
 
 /// Fit every family.

@@ -4,7 +4,7 @@
 //! looser fits in the small data volume range" (small-volume measurements
 //! carry the larger relative noise, per Fig 3).
 
-use crate::regression::{check_samples, Fit, FitError, ModelKind};
+use crate::regression::{check_samples, finish, Fit, FitError, ModelKind};
 
 /// Weights proportional to volume (normalized to mean 1) — the paper's
 /// suggestion: trust big-probe observations most.
@@ -39,36 +39,6 @@ fn wls(xs: &[f64], ys: &[f64], ws: &[f64]) -> (f64, f64) {
     // lint:allow(RL004, exact-zero guard: identical x-values give a literal zero variance)
     let slope = if sxx == 0.0 { 0.0 } else { sxy / sxx };
     (my - slope * mx, slope)
-}
-
-fn finish(kind: ModelKind, a: f64, b: f64, xs: &[f64], ys: &[f64]) -> Fit {
-    let mut fit = Fit {
-        kind,
-        a,
-        b,
-        r2: 0.0,
-        residuals: Vec::with_capacity(xs.len()),
-        relative_residuals: Vec::with_capacity(xs.len()),
-    };
-    let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
-    let mut ss_res = 0.0;
-    let mut ss_tot = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        let p = fit.predict(x);
-        fit.residuals.push(y - p);
-        fit.relative_residuals
-            // lint:allow(RL004, exact-zero guard against division by a zero prediction)
-            .push(if p != 0.0 { (y - p) / p } else { f64::NAN });
-        ss_res += (y - p).powi(2);
-        ss_tot += (y - mean_y).powi(2);
-    }
-    // lint:allow(RL004, a constant response makes ss_tot exactly zero; R² is defined by cases there)
-    fit.r2 = if ss_tot == 0.0 {
-        1.0
-    } else {
-        1.0 - ss_res / ss_tot
-    };
-    fit
 }
 
 /// Weighted fit of one model family, rejecting invalid input with a typed
@@ -107,8 +77,14 @@ pub fn fit_weighted(kind: ModelKind, xs: &[f64], ys: &[f64], weights: &[f64]) ->
     }
 }
 
-/// The weighted fitting kernels, after input validation.
-fn fit_weighted_checked(kind: ModelKind, xs: &[f64], ys: &[f64], weights: &[f64]) -> Fit {
+/// The fitting kernels, after input validation; [`crate::try_fit`] runs
+/// them with unit weights.
+pub(crate) fn fit_weighted_checked(
+    kind: ModelKind,
+    xs: &[f64],
+    ys: &[f64],
+    weights: &[f64],
+) -> Fit {
     match kind {
         ModelKind::Linear => {
             // Y = ln a + X: weighted mean of (ln y − ln x).

@@ -6,13 +6,48 @@
 use binpack::Parallelism;
 use perfmodel::{
     adjusted_deadline, adjustment_factor, build_probe_chain, build_probe_chain_par, fit,
-    fit_weighted, inverse_normal_cdf, volume_weights, Fit, Measurement, ModelKind, ResidualStats,
+    fit_weighted, inverse_normal_cdf, try_fit, try_fit_weighted, volume_weights, Fit, Measurement,
+    ModelKind, ResidualStats,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Deterministic pseudo-noise in [-1, 1] from an index.
 fn wobble(i: usize) -> f64 {
     (((i * 2654435761) % 1000) as f64 / 500.0) - 1.0
+}
+
+/// Every number a fit reports, floats by their bits.
+fn fit_bits(f: &Fit) -> (u64, u64, u64, Vec<u64>, Vec<u64>) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (
+        f.a.to_bits(),
+        f.b.to_bits(),
+        f.r2.to_bits(),
+        bits(&f.residuals),
+        bits(&f.relative_residuals),
+    )
+}
+
+/// Assert that the plain fit of every family is the unit-weight fit, bit
+/// for bit.
+fn assert_plain_is_unit_weighted(xs: &[f64], ys: &[f64], case: &str) {
+    let ones = vec![1.0; xs.len()];
+    for kind in ModelKind::ALL {
+        let plain = try_fit(kind, xs, ys).expect("valid samples");
+        let weighted = try_fit_weighted(kind, xs, ys, &ones).expect("valid samples");
+        assert_eq!(
+            fit_bits(&plain),
+            fit_bits(&weighted),
+            "{case}, {kind:?}: plain {plain:?} vs unit-weighted {weighted:?}"
+        );
+    }
+}
+
+#[test]
+fn constant_response_fits_the_same_plain_and_unit_weighted() {
+    assert_plain_is_unit_weighted(&[1.0e6, 2.0e6, 4.0e6, 8.0e6], &[5.0; 4], "ys = [5.0; 4]");
 }
 
 proptest! {
@@ -83,6 +118,28 @@ proptest! {
         let weighted = fit_weighted(ModelKind::Affine, &xs, &ys, &vec![2.5; n]);
         // Uniform weights of any magnitude match OLS.
         prop_assert!((plain.a - weighted.a).abs() < 1e-12 * plain.a.abs().max(1.0));
+    }
+
+    #[test]
+    fn plain_fit_is_the_unit_weight_fit(
+        seed in 0u64..u64::MAX,
+        volumes in 2usize..8,
+        n in 2usize..40,
+    ) {
+        // Probe-shaped data: `volumes` distinct volumes (the first two are
+        // always both present), each measured one or more times, with
+        // positive runtimes.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = rng.random_range(1.0e3..1.0e9);
+        let levels: Vec<f64> = (0..volumes).map(|k| base * (1.0 + k as f64) * rng.random_range(1.0..1.5)).collect();
+        let xs: Vec<f64> = (0..n)
+            .map(|i| if i < 2 { levels[i] } else { levels[rng.random_range(0..volumes)] })
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|&x| rng.random_range(1.0e-9..1.0e-7) * x.powf(rng.random_range(0.8..1.3)) + rng.random_range(0.01..10.0))
+            .collect();
+        assert_plain_is_unit_weighted(&xs, &ys, &format!("seed {seed}"));
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! lands at `results/CHAOS_seed<N>.json`. `--smoke` / `SMOKE=1` shrinks
 //! the trial count.
 
-use bench::{smoke, write_json, Table};
+use bench::{probe_fit, smoke, trial_cloud, write_json, Table};
 use corpus::FileSpec;
-use ec2sim::{Cloud, CloudConfig, DataLocation, FaultConfig, FaultPlan, InstanceType, NoiseModel};
-use perfmodel::{fit, Fit, ModelKind};
+use ec2sim::{Cloud, FaultConfig, FaultPlan};
 use provision::{
     execute_plan_resilient, make_plan, DegradedReport, ExecutionConfig, Plan, RetryPolicy,
     StagingTier, Strategy,
@@ -31,43 +30,6 @@ fn chaos_seed() -> u64 {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)
-}
-
-fn trial_cloud(seed: u64) -> CloudConfig {
-    CloudConfig {
-        seed,
-        homogeneous: true,
-        noise: NoiseModel::default(),
-        ..CloudConfig::default()
-    }
-}
-
-/// Fit the model by probing the simulated cloud, as the pipeline would.
-fn probe_fit() -> Fit {
-    let mut cloud = Cloud::new(trial_cloud(0x5EED));
-    let inst = cloud
-        .launch(InstanceType::Small, ec2sim::AvailabilityZone::us_east_1a())
-        .expect("probe launch");
-    cloud.wait_until_running(inst).expect("probe boot");
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for step in 1..=12u64 {
-        let bytes = step * 150_000_000;
-        for _ in 0..4 {
-            let r = cloud
-                .submit_job(
-                    inst,
-                    &GrepCostModel::default(),
-                    &[FileSpec::new(0, bytes)],
-                    DataLocation::Local,
-                    0.0,
-                )
-                .expect("probe job");
-            xs.push(bytes as f64);
-            ys.push(r.observed_secs);
-        }
-    }
-    fit(ModelKind::Affine, &xs, &ys)
 }
 
 fn trial_faults() -> FaultConfig {

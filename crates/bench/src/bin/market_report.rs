@@ -19,15 +19,15 @@
 //!
 //! `--smoke` / `SMOKE=1` shrinks the sweep for CI-speed runs.
 
-use bench::{smoke, write_json, Provenance, Table};
+use bench::{probe_fit, smoke, trial_cloud, write_json, Provenance, Table};
 use corpus::FileSpec;
-use ec2sim::{AvailabilityZone, Cloud, CloudConfig, DataLocation, InstanceType, NoiseModel};
+use ec2sim::Cloud;
 use market::{
     execute_portfolio, plan_market, plan_market_observed, reclaim_fault_plan, MarketConfig,
     MarketStrategy,
 };
 use obs::Obs;
-use perfmodel::{fit, Fit, ModelKind};
+use perfmodel::Fit;
 use provision::{ExecutionConfig, RetryPolicy, StagingTier};
 use serde::Serialize;
 use textapps::GrepCostModel;
@@ -76,44 +76,6 @@ struct Report {
     portfolio_dominates_everywhere: bool,
     frontier: Vec<FrontierRow>,
     execution: ExecutionRow,
-}
-
-/// Noisy homogeneous cloud, as in `tests/chaos.rs`: identical hardware
-/// so the fitted model is exact, real measurement noise in the probes.
-fn trial_cloud(seed: u64) -> CloudConfig {
-    CloudConfig {
-        seed,
-        homogeneous: true,
-        noise: NoiseModel::default(),
-        ..CloudConfig::default()
-    }
-}
-
-fn probe_fit() -> Fit {
-    let mut cloud = Cloud::new(trial_cloud(0x5EED));
-    let inst = cloud
-        .launch(InstanceType::Small, AvailabilityZone::us_east_1a())
-        .unwrap();
-    cloud.wait_until_running(inst).unwrap();
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for step in 1..=12u64 {
-        let bytes = step * 150_000_000;
-        for _ in 0..4 {
-            let r = cloud
-                .submit_job(
-                    inst,
-                    &GrepCostModel::default(),
-                    &[FileSpec::new(0, bytes)],
-                    DataLocation::Local,
-                    0.0,
-                )
-                .unwrap();
-            xs.push(bytes as f64);
-            ys.push(r.observed_secs);
-        }
-    }
-    fit(ModelKind::Affine, &xs, &ys)
 }
 
 fn market_cfg(strategy: MarketStrategy) -> MarketConfig {

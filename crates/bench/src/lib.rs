@@ -227,6 +227,50 @@ pub fn screened_cloud(config: CloudConfig) -> (Cloud, InstanceId) {
     (cloud, inst)
 }
 
+/// Noisy homogeneous cloud, as in `tests/chaos.rs`: identical hardware
+/// so the fitted model is exact, real measurement noise in the probes.
+pub fn trial_cloud(seed: u64) -> CloudConfig {
+    CloudConfig {
+        seed,
+        homogeneous: true,
+        noise: ec2sim::NoiseModel::default(),
+        ..CloudConfig::default()
+    }
+}
+
+/// Fit the grep model by probing a [`trial_cloud`], as the pipeline would:
+/// twelve volumes from 150 MB to 1.8 GB, four local runs each, one affine
+/// fit.
+pub fn probe_fit() -> perfmodel::Fit {
+    let mut cloud = Cloud::new(trial_cloud(0x5EED));
+    let inst = cloud
+        .launch(
+            ec2sim::InstanceType::Small,
+            ec2sim::AvailabilityZone::us_east_1a(),
+        )
+        .expect("probe launch");
+    cloud.wait_until_running(inst).expect("probe boot");
+    let mut xs = Vec::new();
+    let mut ys = Vec::new();
+    for step in 1..=12u64 {
+        let bytes = step * 150_000_000;
+        for _ in 0..4 {
+            let r = cloud
+                .submit_job(
+                    inst,
+                    &textapps::GrepCostModel::default(),
+                    &[FileSpec::new(0, bytes)],
+                    DataLocation::Local,
+                    0.0,
+                )
+                .expect("probe job");
+            xs.push(bytes as f64);
+            ys.push(r.observed_secs);
+        }
+    }
+    perfmodel::fit(perfmodel::ModelKind::Affine, &xs, &ys)
+}
+
 /// Measure one probe `repeats` times on `inst` (the paper repeats 5×).
 pub fn measure(
     cloud: &mut Cloud,

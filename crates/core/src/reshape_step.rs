@@ -78,6 +78,21 @@ impl ReshapeOutcome {
 /// mean complexity of their members — concatenating documents preserves
 /// per-byte tagging cost.
 pub fn reshape_manifest(manifest: &Manifest, unit: UnitSize) -> ReshapeOutcome {
+    reshape_manifest_par(manifest, unit, Parallelism::Sequential)
+}
+
+/// [`reshape_manifest`] with both the pack and the per-bin complexity
+/// aggregation fanned out across workers. The pack routes through
+/// [`pack_for_reshape`] — sharded above [`PAR_PACK_MIN_ITEMS`], where
+/// `parallelism` packs the fixed shards concurrently — and turning each bin
+/// into a unit-file spec is independent work gathered in bin order, so the
+/// outcome is identical to the sequential reshape for every [`Parallelism`]
+/// setting.
+pub fn reshape_manifest_par(
+    manifest: &Manifest,
+    unit: UnitSize,
+    parallelism: Parallelism,
+) -> ReshapeOutcome {
     match unit {
         UnitSize::Original => {
             let items: Vec<Item> = manifest
@@ -105,45 +120,6 @@ pub fn reshape_manifest(manifest: &Manifest, unit: UnitSize) -> ReshapeOutcome {
                 original_files: manifest.len(),
             }
         }
-        UnitSize::Bytes(target) => {
-            let items: Vec<Item> = manifest
-                .files
-                .iter()
-                .enumerate()
-                .map(|(i, f)| Item::new(i as u64, f.size))
-                .collect();
-            let packing = pack_for_reshape(&items, target, Parallelism::Sequential);
-            let files = packing
-                .bins
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| !b.is_empty())
-                .map(|(i, b)| bin_to_file(i, b, manifest))
-                .collect();
-            ReshapeOutcome {
-                unit,
-                files,
-                stats: PackingStats::of(&packing),
-                original_files: manifest.len(),
-            }
-        }
-    }
-}
-
-/// [`reshape_manifest`] with both the pack and the per-bin complexity
-/// aggregation fanned out across workers. The pack routes through
-/// [`pack_for_reshape`] — sharded above [`PAR_PACK_MIN_ITEMS`], where
-/// `parallelism` packs the fixed shards concurrently — and turning each bin
-/// into a unit-file spec is independent work gathered in bin order, so the
-/// outcome is identical to the sequential reshape for every [`Parallelism`]
-/// setting.
-pub fn reshape_manifest_par(
-    manifest: &Manifest,
-    unit: UnitSize,
-    parallelism: Parallelism,
-) -> ReshapeOutcome {
-    match unit {
-        UnitSize::Original => reshape_manifest(manifest, unit),
         UnitSize::Bytes(target) => {
             let items: Vec<Item> = manifest
                 .files

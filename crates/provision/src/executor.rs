@@ -43,8 +43,9 @@ pub struct ExecutionConfig {
     /// Constant stage-in time for `Local` staging, seconds.
     pub stage_in_secs: f64,
     /// Screen every fleet instance with bonnie before use (§4 applied
-    /// fleet-wide); rejected instances are terminated unbilled-but-booted
-    /// and replaced, delaying that share's start.
+    /// fleet-wide); rejected instances are terminated once screened, which
+    /// bills each a started hour, and replaced, delaying that share's
+    /// start.
     pub screen: bool,
     /// Pricing used for the report.
     pub pricing: PricingModel,
@@ -212,8 +213,9 @@ impl FleetSource for FreshFleet {
 }
 
 /// Launch one fleet instance, optionally screening it with bonnie first
-/// (up to 16 candidates; rejects are terminated while still free). This is
-/// the cold path used by [`FreshFleet`] and by warm pools on a pool miss.
+/// (up to 16 candidates; each reject is terminated after its screen, so
+/// the ledger bills it a started hour). This is the cold path used by
+/// [`FreshFleet`] and by warm pools on a pool miss.
 pub fn acquire_instance(
     cloud: &mut Cloud,
     cfg: &ExecutionConfig,

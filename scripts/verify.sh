@@ -13,6 +13,19 @@ cd "$(dirname "$0")/.."
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
+# A verify run must leave the committed results as it found them. Snapshot
+# their git status now and compare at the end; reshape-lint rewrites
+# results/LINT.{json,sarif} on purpose, so those two are left out. Outside a
+# git work tree there is nothing to compare against.
+results_status() {
+  git status --porcelain -- results/ ':!results/LINT.json' ':!results/LINT.sarif'
+}
+in_git=0
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  in_git=1
+  results_before="$(results_status)"
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -79,6 +92,15 @@ if [[ $fast -eq 0 ]]; then
   # logs are byte-identical, then persists the report CI uploads.
   echo "==> market report (writes results/BENCH_market_smoke.json)"
   SMOKE=1 cargo run --release -q -p bench --bin market_report
+fi
+
+if [[ $in_git -eq 1 ]]; then
+  results_after="$(results_status)"
+  if [[ "$results_after" != "$results_before" ]]; then
+    echo "verify: this run rewrote committed results:" >&2
+    diff <(echo "$results_before") <(echo "$results_after") | sed -n 's/^> //p' >&2
+    exit 1
+  fi
 fi
 
 echo "verify: OK"

@@ -8,6 +8,7 @@
 
 use crate::instance::{Instance, InstanceId};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One instance's bill.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,10 +24,20 @@ pub struct InstanceBill {
     pub cost: f64,
 }
 
-/// The account ledger.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The account ledger: one bill per instance, in first-record order.
+#[derive(Debug, Clone, Default)]
 pub struct BillingLedger {
     bills: Vec<InstanceBill>,
+    /// Position of each instance's bill in `bills`, so a refresh does not
+    /// search every instance the run has launched. A function of `bills`.
+    index: BTreeMap<InstanceId, usize>,
+}
+
+impl PartialEq for BillingLedger {
+    /// Equal when the bills are: `index` is derived from them.
+    fn eq(&self, other: &Self) -> bool {
+        self.bills == other.bills
+    }
 }
 
 /// Started hours for a running duration in seconds.
@@ -70,9 +81,12 @@ impl BillingLedger {
             billed_hours: hours,
             cost: hours as f64 * instance.hourly_rate,
         };
-        match self.bills.iter_mut().find(|b| b.id == instance.id) {
-            Some(existing) => *existing = bill,
-            None => self.bills.push(bill),
+        match self.index.entry(instance.id) {
+            Entry::Occupied(at) => self.bills[*at.get()] = bill,
+            Entry::Vacant(slot) => {
+                slot.insert(self.bills.len());
+                self.bills.push(bill);
+            }
         }
     }
 

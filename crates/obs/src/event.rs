@@ -8,6 +8,7 @@
 //! existing fields is a breaking change for downstream log readers.
 
 use serde::Serialize;
+use std::fmt::{self, Write};
 
 /// Version stamped into the `RunStart` event. Bump on any change to the
 /// shape of existing events.
@@ -161,6 +162,247 @@ pub enum EventKind {
         /// Bytes in the shard.
         bytes: u64,
     },
+}
+
+impl Event {
+    /// Append this event to `out` as one NDJSON line: byte for byte what
+    /// `serde_json::to_string(self)` renders from the `Serialize` derive,
+    /// plus the newline, written without building the derive's
+    /// `serde::Value` tree. The derive stays as the reference the parity
+    /// test compares against.
+    pub(crate) fn write_ndjson(&self, out: &mut String) -> fmt::Result {
+        use Field::{Float as F, Str as S, Uint as U, UintOrNull};
+        let seq = self.seq;
+        match &self.kind {
+            EventKind::RunStart {
+                schema,
+                run_id,
+                seed,
+            } => write_object(
+                out,
+                seq,
+                "RunStart",
+                &[
+                    ("schema", U(u64::from(*schema))),
+                    ("run_id", S(run_id)),
+                    ("seed", U(*seed)),
+                ],
+            ),
+            EventKind::SpanStart { id, name, at } => write_object(
+                out,
+                seq,
+                "SpanStart",
+                &[("id", U(*id)), ("name", S(name)), ("at", F(*at))],
+            ),
+            EventKind::SpanEnd { id, name, at, secs } => write_object(
+                out,
+                seq,
+                "SpanEnd",
+                &[
+                    ("id", U(*id)),
+                    ("name", S(name)),
+                    ("at", F(*at)),
+                    ("secs", F(*secs)),
+                ],
+            ),
+            EventKind::Counter { name, delta, total } => write_object(
+                out,
+                seq,
+                "Counter",
+                &[
+                    ("name", S(name)),
+                    ("delta", U(*delta)),
+                    ("total", U(*total)),
+                ],
+            ),
+            EventKind::Gauge { name, value } => write_object(
+                out,
+                seq,
+                "Gauge",
+                &[("name", S(name)), ("value", F(*value))],
+            ),
+            EventKind::Observe { name, value } => write_object(
+                out,
+                seq,
+                "Observe",
+                &[("name", S(name)), ("value", F(*value))],
+            ),
+            EventKind::Fault {
+                kind,
+                at,
+                instance,
+                volume,
+            } => write_object(
+                out,
+                seq,
+                "Fault",
+                &[
+                    ("kind", S(kind)),
+                    ("at", F(*at)),
+                    ("instance", UintOrNull(*instance)),
+                    ("volume", UintOrNull(*volume)),
+                ],
+            ),
+            EventKind::Seal {
+                segment,
+                cause,
+                at,
+                items,
+                bytes,
+                bins,
+            } => write_object(
+                out,
+                seq,
+                "Seal",
+                &[
+                    ("segment", U(*segment)),
+                    ("cause", S(cause)),
+                    ("at", F(*at)),
+                    ("items", U(*items)),
+                    ("bytes", U(*bytes)),
+                    ("bins", U(*bins)),
+                ],
+            ),
+            EventKind::Transfer {
+                backend,
+                key,
+                bytes,
+                at,
+                secs,
+            } => write_object(
+                out,
+                seq,
+                "Transfer",
+                &[
+                    ("backend", S(backend)),
+                    ("key", S(key)),
+                    ("bytes", U(*bytes)),
+                    ("at", F(*at)),
+                    ("secs", F(*secs)),
+                ],
+            ),
+            EventKind::Market {
+                family,
+                action,
+                tier,
+                at,
+                instances,
+                cost,
+            } => write_object(
+                out,
+                seq,
+                "Market",
+                &[
+                    ("family", S(family)),
+                    ("action", S(action)),
+                    ("tier", S(tier)),
+                    ("at", F(*at)),
+                    ("instances", U(*instances)),
+                    ("cost", F(*cost)),
+                ],
+            ),
+            EventKind::Shard {
+                stage,
+                shard,
+                items,
+                bytes,
+            } => write_object(
+                out,
+                seq,
+                "Shard",
+                &[
+                    ("stage", S(stage)),
+                    ("shard", U(*shard)),
+                    ("items", U(*items)),
+                    ("bytes", U(*bytes)),
+                ],
+            ),
+        }
+    }
+}
+
+/// One field value of an event, as [`Event::write_ndjson`] renders it.
+#[derive(Clone, Copy)]
+enum Field<'a> {
+    Uint(u64),
+    UintOrNull(Option<u64>),
+    Float(f64),
+    Str(&'a str),
+}
+
+/// `{"seq":…,"kind":{"<variant>":{<fields>}}}` and a newline — the
+/// derive's externally tagged layout. Variant and field names are plain
+/// identifiers, so they need no escaping.
+fn write_object(
+    out: &mut String,
+    seq: u64,
+    variant: &str,
+    fields: &[(&str, Field<'_>)],
+) -> fmt::Result {
+    write!(out, "{{\"seq\":{seq},\"kind\":{{\"")?;
+    out.push_str(variant);
+    out.push_str("\":{");
+    for (i, &(name, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(name);
+        out.push_str("\":");
+        match value {
+            Field::Uint(n) | Field::UintOrNull(Some(n)) => write!(out, "{n}")?,
+            Field::UintOrNull(None) => out.push_str("null"),
+            Field::Float(x) => write_f64(out, x)?,
+            Field::Str(s) => write_str(out, s)?,
+        }
+    }
+    out.push_str("}}}\n");
+    Ok(())
+}
+
+/// `vendor/serde_json`'s float rule: an integral value below 1e15 keeps a
+/// `.0`, any other finite value prints in its shortest form, and NaN and
+/// ±∞, which JSON lacks, print `null`.
+fn write_f64(out: &mut String, x: f64) -> fmt::Result {
+    // lint:allow(RL004, the reference serializer's exact integral-value test)
+    let integral = x.fract() == 0.0 && x.abs() < 1e15;
+    if !x.is_finite() {
+        out.push_str("null");
+        Ok(())
+    } else if integral {
+        write!(out, "{x:.1}")
+    } else {
+        write!(out, "{x}")
+    }
+}
+
+/// A JSON string with `vendor/serde_json`'s escaping: `"`, `\\`, `\n`, `\r`
+/// and `\t` by name, other control characters as `\u00xx`, everything else
+/// verbatim. Every escaped character is ASCII, so the unescaped runs
+/// between them are copied whole.
+fn write_str(out: &mut String, s: &str) -> fmt::Result {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match named {
+            Some(escape) => out.push_str(escape),
+            None => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+    Ok(())
 }
 
 /// Deterministic run identifier: a splitmix64 scramble of the seed,

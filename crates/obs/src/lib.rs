@@ -337,8 +337,8 @@ impl Obs {
         let st = core.state();
         let mut out = String::new();
         for e in &st.events {
-            out.push_str(&serde_json::to_string(e).unwrap_or_default());
-            out.push('\n');
+            // Writing into a `String` never fails.
+            let _ = e.write_ndjson(&mut out);
         }
         out
     }
@@ -484,6 +484,132 @@ mod tests {
         assert!(a.contains("\"Transfer\""));
         assert!(a.contains("\"backend\":\"shared_fs\""));
         assert!(a.contains("\"key\":\"shuffle/part-4\""));
+    }
+
+    /// Every variant, with every float edge of the float rule in each
+    /// float field and every escape class in each string field, renders
+    /// exactly as the `Serialize` derive does through `serde_json`.
+    #[test]
+    fn ndjson_writer_matches_the_serde_derive() {
+        let floats = [
+            0.0,
+            -0.0,
+            0.1,
+            1.0,
+            1e15 - 1.0,
+            1e15,
+            1e16,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let strings = [
+            "execute.share",
+            "",
+            "quote \" back \\ slash",
+            "line\nfeed\rreturn\ttab",
+            "\u{1}\u{1f}\u{7f}",
+            "Grüße, 東京 🚀",
+        ];
+        let mut kinds = Vec::new();
+        for (i, (&x, s)) in floats
+            .iter()
+            .flat_map(|x| strings.iter().map(move |s| (x, s.to_string())))
+            .enumerate()
+        {
+            let n = if i % 2 == 0 {
+                i as u64
+            } else {
+                u64::MAX - i as u64
+            };
+            let (instance, volume) = match i % 4 {
+                0 => (None, None),
+                1 => (Some(n), None),
+                2 => (None, Some(n)),
+                _ => (Some(n), Some(n)),
+            };
+            kinds.extend([
+                EventKind::RunStart {
+                    schema: SCHEMA_VERSION,
+                    run_id: run_id_from_seed(n),
+                    seed: n,
+                },
+                EventKind::SpanStart {
+                    id: n,
+                    name: s.clone(),
+                    at: x,
+                },
+                EventKind::SpanEnd {
+                    id: n,
+                    name: s.clone(),
+                    at: x,
+                    secs: -x,
+                },
+                EventKind::Counter {
+                    name: s.clone(),
+                    delta: n,
+                    total: n / 3,
+                },
+                EventKind::Gauge {
+                    name: s.clone(),
+                    value: x,
+                },
+                EventKind::Observe {
+                    name: s.clone(),
+                    value: x,
+                },
+                EventKind::Fault {
+                    kind: s.clone(),
+                    at: x,
+                    instance,
+                    volume,
+                },
+                EventKind::Seal {
+                    segment: n,
+                    cause: s.clone(),
+                    at: x,
+                    items: n,
+                    bytes: n,
+                    bins: n,
+                },
+                EventKind::Transfer {
+                    backend: s.clone(),
+                    key: s.clone(),
+                    bytes: n,
+                    at: x,
+                    secs: x,
+                },
+                EventKind::Market {
+                    family: s.clone(),
+                    action: s.clone(),
+                    tier: s.clone(),
+                    at: x,
+                    instances: n,
+                    cost: x,
+                },
+                EventKind::Shard {
+                    stage: s.clone(),
+                    shard: n,
+                    items: n,
+                    bytes: n,
+                },
+            ]);
+        }
+        let obs = Obs::recording(u64::MAX);
+        for kind in &kinds {
+            obs.push(kind.clone());
+        }
+        let log = obs.to_ndjson();
+        let core = obs.core.as_ref().expect("recording");
+        let events = &core.state().events;
+        assert_eq!(events.len(), kinds.len() + 1);
+        assert_eq!(log.lines().count(), events.len());
+        for (line, event) in log.lines().zip(events) {
+            let reference = serde_json::to_string(event).expect("serializes");
+            assert_eq!(line, reference, "event {event:?}");
+        }
+        assert!(log.ends_with('\n'));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! compared, plus the rest of the family for completeness.
 
 use bench::{execute_pos_plan, pos_calibration, screened_cloud, smoke, Table};
-use binpack::{Algorithm, Item};
-use corpus::FileSpec;
+use binpack::Algorithm;
 use ec2sim::CloudConfig;
+use provision::plan::file_items;
 use provision::Plan;
 
 fn main() {
@@ -22,12 +22,7 @@ fn main() {
     cloud.terminate(inst).unwrap();
 
     let x0 = eq3.invert(deadline).expect("invertible") as u64;
-    let items: Vec<Item> = manifest
-        .files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| Item::new(i as u64, f.size))
-        .collect();
+    let items = file_items(&manifest.files);
 
     let mut t = Table::new(
         &format!("A1 — packing algorithm vs schedule quality (capacity {x0} B)"),
@@ -44,17 +39,7 @@ fn main() {
     for alg in Algorithm::ALL {
         let packing = alg.pack(&items, x0);
         let stats = binpack::PackingStats::of(&packing);
-        let bins: Vec<Vec<FileSpec>> = packing
-            .bins
-            .iter()
-            .map(|b| {
-                b.items
-                    .iter()
-                    .map(|it| manifest.files[it.id as usize])
-                    .collect()
-            })
-            .collect();
-        let plan = Plan::from_bins(bins, &eq3, deadline, deadline, x0);
+        let plan = Plan::from_packing(&manifest.files, &packing, &eq3, deadline, deadline, x0);
         let report = execute_pos_plan(1010, &plan);
         t.row(vec![
             format!("{alg:?}"),

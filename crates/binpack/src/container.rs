@@ -353,13 +353,6 @@ impl ContainerWriter {
         out.extend_from_slice(&MAGIC);
         out
     }
-
-    /// [`finish`](Self::finish) straight to a file.
-    pub fn write_file(self, path: &Path) -> Result<(), ContainerError> {
-        std::fs::write(path, self.finish()).map_err(|e| ContainerError::Io {
-            message: e.to_string(),
-        })
-    }
 }
 
 /// A parsed, validated view over container bytes. Parsing touches only the
@@ -669,7 +662,7 @@ mod tests {
         let path = dir.join("unit0.rshpcnt");
         let mut w = ContainerWriter::new();
         w.add("m", b"bytes-on-disk").unwrap();
-        w.write_file(&path).unwrap();
+        std::fs::write(&path, w.finish()).unwrap();
         let blob = read_container_file(&path).unwrap();
         let c = Container::parse(&blob).unwrap();
         assert_eq!(c.get("m").unwrap(), b"bytes-on-disk");

@@ -239,11 +239,6 @@ impl StreamPacker {
         &self.config
     }
 
-    /// Items buffered in the open (pending) segment.
-    pub fn pending_items(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Bytes buffered in the open segment.
     pub fn pending_bytes(&self) -> u64 {
         self.pending_bytes
@@ -486,7 +481,6 @@ mod tests {
         // Arrives at t=6: the t=0 segment is 6s old, seals first.
         p.admit(Item::new(2, 10), 6.0);
         assert_eq!(p.stats().seals_aged, 1);
-        assert_eq!(p.pending_items(), 1);
         let out = p.finish(7.0);
         assert_eq!(out.segments.len(), 2);
         assert_eq!(out.segments[0].items, 2);
@@ -503,7 +497,6 @@ mod tests {
         assert_eq!(p.stats().sealed_segments, 0);
         p.tick(2.0);
         assert_eq!(p.stats().seals_aged, 1);
-        assert_eq!(p.pending_items(), 0);
     }
 
     #[test]
@@ -521,7 +514,6 @@ mod tests {
         assert_eq!(p.stats().seals_aged, 1);
         p.admit(Item::new(1, 20), 2.0);
         assert_eq!(p.stats().seals_aged, 1, "same-timestamp double seal");
-        assert_eq!(p.pending_items(), 1);
         // The new arrival starts a fresh age window at t = 2.
         p.tick(3.9);
         assert_eq!(p.stats().seals_aged, 1);

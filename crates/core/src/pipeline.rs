@@ -387,26 +387,18 @@ impl Pipeline {
         // errors (ProvisionError), which the pipeline surfaces as
         // InfeasibleDeadline.
         let span = obs.span_start("pipeline.plan", cloud.now());
-        // A family fleet plans against the family-scaled model (the §5
-        // calibration transported by the perf multiplier); model kinds
-        // without a scale parameter scale the deadline instead. Without a
+        // A family fleet plans in the family's seconds (the §5
+        // calibration transported by the perf multiplier). Without a
         // family this is exactly the classic plan.
-        let (plan_fit, plan_deadline) = match self.config.family {
-            Some(fam) => match market::family_fit(&final_fit, fam.perf_multiplier) {
-                Some(f) => (f, self.config.deadline_secs),
-                None => (
-                    final_fit.clone(),
-                    self.config.deadline_secs / fam.perf_multiplier,
-                ),
-            },
-            None => (final_fit.clone(), self.config.deadline_secs),
-        };
-        let plan = make_plan(
+        let (strategy, files, deadline) = (
             self.config.strategy,
             &reshape.files,
-            &plan_fit,
-            plan_deadline,
-        )
+            self.config.deadline_secs,
+        );
+        let plan = match &self.config.family {
+            Some(fam) => market::family_plan(strategy, files, &final_fit, fam, deadline),
+            None => make_plan(strategy, files, &final_fit, deadline),
+        }
         .map_err(|_| PipelineError::InfeasibleDeadline {
             deadline_secs: self.config.deadline_secs,
         })?;

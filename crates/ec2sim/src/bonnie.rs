@@ -137,7 +137,8 @@ pub fn screen_at(
 
 /// Acquire an instance that passes `policy`: launch, measure `repeats`
 /// times, keep if fast and stable, otherwise terminate and retry. Returns
-/// the accepted instance and how many candidates were burned.
+/// the accepted instance and how many candidates were burned, or
+/// [`CloudError::ScreeningExhausted`] when all `max_attempts` fail.
 pub fn acquire_good_instance(
     cloud: &mut Cloud,
     itype: InstanceType,
@@ -155,7 +156,9 @@ pub fn acquire_good_instance(
         }
         cloud.terminate(id)?;
     }
-    Err(CloudError::InstanceCapReached(policy.max_attempts))
+    Err(CloudError::ScreeningExhausted {
+        attempts: policy.max_attempts,
+    })
 }
 
 #[cfg(test)]

@@ -396,7 +396,9 @@ impl Cloud {
 
     /// Shared attach validation and fault injection as of time `at`.
     /// Returns true when a new attachment was made (false: idempotent
-    /// re-attach by the holder).
+    /// re-attach by the holder). An instance whose termination is
+    /// recorded, even one dated after `at`, is refused: its release has
+    /// already run, so nothing would ever detach the volume again.
     fn attach_inner(
         &mut self,
         vol: VolumeId,
@@ -409,6 +411,9 @@ impl Cloud {
             }
         }
         let instance = self.instance(inst)?;
+        if instance.terminated_at.is_some() {
+            return Err(CloudError::Terminated(inst));
+        }
         if instance.state_at(at) != InstanceState::Running {
             return Err(CloudError::NotRunning(inst));
         }
@@ -570,9 +575,6 @@ impl Cloud {
     /// (companion to [`Cloud::submit_job`]); detaches its volumes and
     /// bills its running interval.
     pub fn terminate_at(&mut self, id: InstanceId, at: f64) -> Result<(), CloudError> {
-        for vol in self.attached.remove(&id).unwrap_or_default() {
-            self.volumes[vol.0 as usize].attached_to = None;
-        }
         let inst = self
             .instances
             .get_mut(id.0 as usize)
@@ -582,6 +584,9 @@ impl Cloud {
         }
         inst.terminated_at = Some(at);
         self.ledger.record(inst, at);
+        for vol in self.attached.remove(&id).unwrap_or_default() {
+            self.volumes[vol.0 as usize].attached_to = None;
+        }
         Ok(())
     }
 
@@ -857,6 +862,46 @@ mod tests {
         let a = running_instance(&mut cloud);
         cloud.terminate(a).unwrap();
         assert!(matches!(cloud.terminate(a), Err(CloudError::Terminated(_))));
+    }
+
+    #[test]
+    fn attach_to_an_instance_terminated_later_is_refused() {
+        let mut cloud = Cloud::new(CloudConfig::ideal(1));
+        let a = running_instance(&mut cloud);
+        let b = running_instance(&mut cloud);
+        let v = cloud.create_volume(zone(), 1_000_000_000);
+        let now = cloud.now();
+        cloud.terminate_at(a, now + 5_000.0).unwrap();
+        // `a` still runs at +100, but its release has already happened:
+        // a volume attached now would stay with it for ever.
+        assert_eq!(
+            cloud.attach_volume_at(v, a, now + 100.0),
+            Err(CloudError::Terminated(a))
+        );
+        assert_eq!(cloud.attach_volume(v, a), Err(CloudError::Terminated(a)));
+        cloud.advance(10_000.0);
+        assert_eq!(cloud.attach_volume_at(v, b, cloud.now()), Ok(()));
+    }
+
+    #[test]
+    fn a_repeated_terminate_releases_no_volume() {
+        let mut cloud = Cloud::new(CloudConfig::ideal(1));
+        let a = running_instance(&mut cloud);
+        let b = running_instance(&mut cloud);
+        let v = cloud.create_volume(zone(), 1_000_000_000);
+        let now = cloud.now();
+        cloud.terminate_at(a, now + 5_000.0).unwrap();
+        let _ = cloud.attach_volume_at(v, a, now + 100.0);
+        assert_eq!(cloud.attach_volume_at(v, b, now + 100.0), Ok(()));
+        assert_eq!(
+            cloud.terminate_at(a, now + 200.0),
+            Err(CloudError::Terminated(a))
+        );
+        let ebs = DataLocation::Ebs {
+            volume: v,
+            offset: 0,
+        };
+        assert!(cloud.exec_env(b, &ebs, 0).is_ok(), "the volume left b");
     }
 
     #[test]

@@ -43,6 +43,12 @@ pub enum CloudError {
     /// instances per account; the paper notes "limitations on the number
     /// of instances that can be requested", §5.2).
     InstanceCapReached(usize),
+    /// §4 screening rejected every candidate it was allowed to launch;
+    /// each was measured with bonnie and terminated.
+    ScreeningExhausted {
+        /// Candidates screened and rejected.
+        attempts: usize,
+    },
     /// An injected fault killed the instance (hardware loss). The crash
     /// time is available via `Cloud::crash_time`.
     InstanceCrashed(InstanceId),
@@ -76,6 +82,9 @@ impl std::fmt::Display for CloudError {
             }
             CloudError::InstanceCapReached(n) => {
                 write!(f, "account instance cap of {n} reached")
+            }
+            CloudError::ScreeningExhausted { attempts } => {
+                write!(f, "screening rejected all {attempts} candidate instances")
             }
             CloudError::InstanceCrashed(id) => write!(f, "instance {id:?} crashed"),
             CloudError::SpotPreempted(id) => write!(f, "instance {id:?} was preempted"),

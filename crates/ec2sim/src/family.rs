@@ -151,13 +151,6 @@ impl InstanceFamily {
             jitter_rel: q.jitter_rel,
         }
     }
-
-    /// Expected on-demand dollars per unit of work relative to the
-    /// baseline family (`rate × perf_multiplier`): the steady-state
-    /// cost-per-byte ordering the planner exploits.
-    pub fn cost_per_work(&self) -> f64 {
-        self.on_demand_rate * self.perf_multiplier
-    }
 }
 
 #[cfg(test)]
@@ -184,13 +177,6 @@ mod tests {
         for w in cat.windows(2) {
             assert!(w[0].on_demand_rate < w[1].on_demand_rate);
         }
-        // Cost-per-work tells the opposite story at the top end: hi-cpu
-        // pays a premium per byte for speed.
-        let std = InstanceFamily::standard();
-        let low = InstanceFamily::low_power();
-        let hi = InstanceFamily::hi_cpu();
-        assert!(low.cost_per_work() < std.cost_per_work());
-        assert!(std.cost_per_work() < hi.cost_per_work());
     }
 
     #[test]

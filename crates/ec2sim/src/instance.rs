@@ -65,11 +65,6 @@ impl InstanceQuality {
             }
         }
     }
-
-    /// The paper's screening criterion: over 60 MB/s block I/O and stable.
-    pub fn is_good(&self) -> bool {
-        self.io_bps > 60.0e6 && self.jitter_rel < 0.1 && self.cpu_factor > 0.9
-    }
 }
 
 /// One simulated instance.
@@ -131,27 +126,8 @@ mod tests {
         let qs: Vec<InstanceQuality> = (0..n)
             .map(|_| InstanceQuality::sample(&mut rng, 0.12, 0.08))
             .collect();
-        let good = qs.iter().filter(|q| q.is_good()).count() as f64 / n as f64;
-        // ~80 % good, allowing for overlap at boundaries.
-        assert!((0.70..0.90).contains(&good), "good fraction {good}");
         let slow = qs.iter().filter(|q| q.cpu_factor < 0.6).count() as f64 / n as f64;
         assert!((0.08..0.16).contains(&slow), "slow fraction {slow}");
-    }
-
-    #[test]
-    fn slow_instances_fail_screening() {
-        let q = InstanceQuality {
-            cpu_factor: 0.4,
-            io_bps: 40.0e6,
-            jitter_rel: 0.03,
-        };
-        assert!(!q.is_good());
-        let q2 = InstanceQuality {
-            cpu_factor: 1.0,
-            io_bps: 75.0e6,
-            jitter_rel: 0.02,
-        };
-        assert!(q2.is_good());
     }
 
     fn instance(running_at: f64, terminated_at: Option<f64>) -> Instance {

@@ -40,35 +40,11 @@ impl RetrievalModel {
             (objects as f64 / self.parallelism.max(1) as f64).ceil() * self.per_object_s;
         request_time + bytes as f64 / self.bandwidth_bps.max(1.0)
     }
-
-    /// The §1 comparison: how much faster retrieval gets when the same
-    /// output bytes arrive in `merged_objects` instead of
-    /// `original_objects` files. Returns (original secs, merged secs,
-    /// speedup factor).
-    pub fn segmentation_comparison(
-        &self,
-        original_objects: usize,
-        merged_objects: usize,
-        bytes: u64,
-    ) -> (f64, f64, f64) {
-        let orig = self.retrieval_secs(original_objects, bytes);
-        let merged = self.retrieval_secs(merged_objects, bytes);
-        (orig, merged, orig / merged)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fewer_objects_retrieve_faster() {
-        let m = RetrievalModel::default();
-        // 1 GB of grep output: 2 M tiny files vs 1 000 merged ones.
-        let (orig, merged, speedup) = m.segmentation_comparison(2_000_000, 1_000, 1_000_000_000);
-        assert!(orig > merged);
-        assert!(speedup > 10.0, "speedup {speedup}");
-    }
 
     #[test]
     fn bandwidth_floor_for_single_object() {

@@ -176,17 +176,6 @@ impl ObjectStore {
             .ok_or_else(|| CloudError::NoSuchObject(key.to_string()))
     }
 
-    /// Delete an object.
-    pub fn delete(&mut self, key: &str) -> Result<(), CloudError> {
-        match self.objects.remove(key) {
-            Some(size) => {
-                self.total_bytes -= size;
-                Ok(())
-            }
-            None => Err(CloudError::NoSuchObject(key.to_string())),
-        }
-    }
-
     /// Number of stored objects.
     pub fn len(&self) -> usize {
         self.objects.len()
@@ -279,9 +268,6 @@ mod tests {
         assert_eq!(s.total_bytes, 300);
         s.put("a", 50).unwrap(); // replace
         assert_eq!(s.total_bytes, 250);
-        s.delete("b").unwrap();
-        assert_eq!(s.total_bytes, 50);
-        assert!(matches!(s.get("b"), Err(CloudError::NoSuchObject(_))));
     }
 
     #[test]

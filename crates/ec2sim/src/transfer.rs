@@ -68,15 +68,6 @@ impl TransferPricing {
             TransferKind::InterRegion
         }
     }
-
-    /// The full staging bill of a workload: ingress of the input plus
-    /// egress of the results. The paper's observation in code: this is
-    /// *independent of reshaping* (same bytes either way), whereas the
-    /// retrieval *time* does improve with fewer output files.
-    pub fn staging_cost(&self, input_bytes: u64, output_bytes: u64) -> f64 {
-        self.cost(TransferKind::IngressFromInternet, input_bytes)
-            + self.cost(TransferKind::EgressToInternet, output_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -112,15 +103,5 @@ mod tests {
             TransferPricing::kind_between(a, c),
             TransferKind::InterRegion
         );
-    }
-
-    #[test]
-    fn staging_cost_independent_of_reshaping() {
-        // The §1 claim: transfer dollars depend only on byte counts.
-        let p = TransferPricing::default();
-        let as_original = p.staging_cost(100_000_000_000, 1_000_000_000);
-        let as_merged = p.staging_cost(100_000_000_000, 1_000_000_000);
-        assert_eq!(as_original, as_merged);
-        assert!((as_original - (10.0 + 0.17)).abs() < 1e-9);
     }
 }

@@ -67,33 +67,6 @@ pub enum InstanceType {
 }
 
 impl InstanceType {
-    /// EC2 compute units (1 ECU ≈ a 1.0–1.2 GHz 2007 Opteron/Xeon).
-    pub fn compute_units(self) -> f64 {
-        match self {
-            InstanceType::Small => 1.0,
-            InstanceType::Large => 4.0,
-            InstanceType::ExtraLarge => 8.0,
-        }
-    }
-
-    /// Memory in bytes.
-    pub fn memory_bytes(self) -> u64 {
-        match self {
-            InstanceType::Small => 1_700_000_000,
-            InstanceType::Large => 7_500_000_000,
-            InstanceType::ExtraLarge => 15_000_000_000,
-        }
-    }
-
-    /// Ephemeral local storage in bytes (160 GB for small, §1.1).
-    pub fn local_storage_bytes(self) -> u64 {
-        match self {
-            InstanceType::Small => 160_000_000_000,
-            InstanceType::Large => 850_000_000_000,
-            InstanceType::ExtraLarge => 1_690_000_000_000,
-        }
-    }
-
     /// On-demand price per started hour in dollars (§5 uses $0.085 for
     /// small instances).
     pub fn hourly_rate(self) -> f64 {
@@ -119,15 +92,11 @@ mod tests {
     #[test]
     fn small_instance_matches_paper_config() {
         let t = InstanceType::Small;
-        assert!((t.compute_units() - 1.0).abs() < 1e-12);
-        assert_eq!(t.memory_bytes(), 1_700_000_000);
-        assert_eq!(t.local_storage_bytes(), 160_000_000_000);
         assert!((t.hourly_rate() - 0.085).abs() < 1e-12);
     }
 
     #[test]
     fn larger_types_scale_up() {
-        assert!(InstanceType::Large.compute_units() > InstanceType::Small.compute_units());
         assert!(InstanceType::ExtraLarge.hourly_rate() > InstanceType::Large.hourly_rate());
     }
 }

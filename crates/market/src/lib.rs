@@ -11,7 +11,8 @@
 //! * [`ec2sim::InstanceFamily`] describes a family's list price, perf
 //!   multiplier and streaming cap; [`family_fit`] transports the §5
 //!   calibrated model onto a family (relative residuals — and hence the
-//!   §5.2 adjustment factor — are invariant under the scaling).
+//!   §5.2 adjustment factor — are invariant under the scaling), and
+//!   [`family_plan`] plans on a family in its own seconds.
 //! * [`SpotPath`] is a seeded, counter-hashed mean-reverting price
 //!   process per family: same seed ⇒ byte-identical path. Bids convert a
 //!   path into eligible work time, an expected rate, and correlated
@@ -39,7 +40,7 @@ mod spot;
 
 pub use exec::{execute_portfolio, reclaim_fault_plan, MarketExecution};
 pub use planner::{
-    expected_plan_cost, family_fit, plan_market, plan_market_observed, plan_on_family, FamilyQuote,
-    FleetLine, MarketConfig, MarketReject, MarketStrategy, PortfolioPlan, Tier,
+    expected_plan_cost, family_fit, family_plan, plan_market, plan_market_observed, plan_on_family,
+    FamilyQuote, FleetLine, MarketConfig, MarketReject, MarketStrategy, PortfolioPlan, Tier,
 };
 pub use spot::{reclaim_plan, SpotPath, SPOT_STEP_SECS};

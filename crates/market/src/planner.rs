@@ -260,7 +260,7 @@ impl PortfolioPlan {
 /// Scale a base fit by a family's runtime multiplier. Exact for every
 /// model family whose output is proportional to a parameter (`Linear`,
 /// `Affine`, `PowerLaw`, `Exponential`); `LogQuad` has no such parameter,
-/// so it returns `None` and callers scale the deadline instead. A
+/// so it returns `None` and [`family_plan`] scales the deadline instead. A
 /// multiplier of exactly 1.0 clones the fit — same bits, every kind.
 ///
 /// Relative residuals are invariant under this scaling (`(m·y − m·f) /
@@ -287,8 +287,34 @@ pub fn family_fit(base: &Fit, multiplier: f64) -> Option<Fit> {
     })
 }
 
-/// The §5.2 plan for `files` on one family at the given deadline: scaled
-/// fit when the model family supports it, scaled deadline otherwise.
+/// The plan for `files` under `strategy` on one family, in the family's
+/// seconds. A fit that [`family_fit`] scales is planned as it is. A
+/// `LogQuad` fit is planned on the base clock at `D/m` and then converted
+/// to the family's clock: the plan's deadline becomes `D`, and its
+/// planning deadline and each share's predicted seconds are multiplied by
+/// `m`. Either way the plan keeps the caller's deadline and predicts what
+/// the family takes.
+pub fn family_plan(
+    strategy: Strategy,
+    files: &[FileSpec],
+    base: &Fit,
+    family: &InstanceFamily,
+    deadline_secs: f64,
+) -> Result<Plan, ProvisionError> {
+    let m = family.perf_multiplier;
+    if let Some(scaled) = family_fit(base, m) {
+        return make_plan(strategy, files, &scaled, deadline_secs);
+    }
+    let mut plan = make_plan(strategy, files, base, deadline_secs / m)?;
+    plan.deadline_secs = deadline_secs;
+    plan.planning_deadline_secs *= m;
+    for share in &mut plan.instances {
+        share.predicted_secs *= m;
+    }
+    Ok(plan)
+}
+
+/// The §5.2 adjusted-deadline [`family_plan`].
 pub fn plan_on_family(
     files: &[FileSpec],
     base: &Fit,
@@ -296,16 +322,13 @@ pub fn plan_on_family(
     deadline_secs: f64,
     p_miss: f64,
 ) -> Result<Plan, ProvisionError> {
-    let strategy = Strategy::AdjustedDeadline { p_miss };
-    match family_fit(base, family.perf_multiplier) {
-        Some(scaled) => make_plan(strategy, files, &scaled, deadline_secs),
-        None => make_plan(
-            strategy,
-            files,
-            base,
-            deadline_secs / family.perf_multiplier,
-        ),
-    }
+    family_plan(
+        Strategy::AdjustedDeadline { p_miss },
+        files,
+        base,
+        family,
+        deadline_secs,
+    )
 }
 
 /// Expected dollars for a plan billed at `rate`: per-share started hours

@@ -11,6 +11,7 @@
 //! latter reproduces the paper's own adjusted deadlines D=3600 → 3124 and
 //! D=7200 → 6247).
 
+use crate::regression::Fit;
 use crate::stats;
 use serde::{Deserialize, Serialize};
 
@@ -109,6 +110,17 @@ pub fn adjusted_deadline(deadline: f64, a: f64) -> f64 {
         deadline
     } else {
         deadline / scale
+    }
+}
+
+impl Fit {
+    /// The §5.2 planning deadline `D / (1 + a)` for this fit, with `a`
+    /// taken from its relative residuals at miss probability `p_miss`.
+    /// Every planner that tightens a deadline (the compute plan, the
+    /// shuffle budget, admission) calls this one method.
+    pub fn adjusted_deadline(&self, deadline_secs: f64, p_miss: f64) -> f64 {
+        let res = ResidualStats::from_relative_residuals(&self.relative_residuals);
+        adjusted_deadline(deadline_secs, adjustment_factor(&res, p_miss))
     }
 }
 

@@ -29,16 +29,7 @@ pub enum UnitSize {
     Bytes(u64),
 }
 
-impl UnitSize {
-    /// Numeric value for plotting; `Original` maps to the mean original
-    /// file size of the probe.
-    pub fn plot_value(&self, mean_original: f64) -> f64 {
-        match self {
-            UnitSize::Original => mean_original,
-            UnitSize::Bytes(b) => *b as f64,
-        }
-    }
-}
+impl UnitSize {}
 
 /// One probe: a volume at a unit size, realized as a list of (possibly
 /// merged) files.

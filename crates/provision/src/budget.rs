@@ -8,7 +8,7 @@
 //! `i · ⌈f(V/i)/3600⌉ · r`, so an exhaustive sweep over `i` is exact.
 
 use crate::error::ProvisionError;
-use crate::plan::Plan;
+use crate::plan::{file_items, Plan};
 use crate::pricing::{instance_hours, PricingModel};
 use crate::strategy::{make_plan, Strategy};
 use corpus::FileSpec;
@@ -68,21 +68,16 @@ pub fn plan_within_budget(
     // Materialize the plan: uniform bins over i instances, with the
     // makespan as the effective deadline.
     let deadline = makespan.max(1e-6);
-    let bins = binpack::uniform_k_bins(
-        &files
-            .iter()
-            .enumerate()
-            .map(|(k, f)| binpack::Item::new(k as u64, f.size))
-            .collect::<Vec<_>>(),
-        i,
-    );
-    let file_bins: Vec<Vec<FileSpec>> = bins
-        .bins
-        .iter()
-        .map(|b| b.items.iter().map(|it| files[it.id as usize]).collect())
-        .collect();
+    let packing = binpack::uniform_k_bins(&file_items(files), i);
     Some(BudgetPlan {
-        plan: Plan::from_bins(file_bins, fit, deadline, deadline, total.div_ceil(i as u64)),
+        plan: Plan::from_packing(
+            files,
+            &packing,
+            fit,
+            deadline,
+            deadline,
+            total.div_ceil(i as u64),
+        ),
         predicted_makespan_secs: makespan,
         predicted_cost: cost,
         budget,

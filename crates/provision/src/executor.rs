@@ -214,8 +214,9 @@ impl FleetSource for FreshFleet {
 
 /// Launch one fleet instance, optionally screening it with bonnie first
 /// (up to 16 candidates; each reject is terminated after its screen, so
-/// the ledger bills it a started hour). This is the cold path used by
-/// [`FreshFleet`] and by warm pools on a pool miss.
+/// the ledger bills it a started hour, and when all of them fail the
+/// result is `CloudError::ScreeningExhausted`). This is the cold path
+/// used by [`FreshFleet`] and by warm pools on a pool miss.
 pub fn acquire_instance(
     cloud: &mut Cloud,
     cfg: &ExecutionConfig,
@@ -232,7 +233,6 @@ pub fn acquire_instance(
     }
     let policy = ScreeningPolicy::default();
     let mut not_before = 0.0f64;
-    let mut last = None;
     for _ in 0..policy.max_attempts {
         let inst = launch(cloud)?;
         let (passed, ready) = screen_at(cloud, inst, &policy)?;
@@ -243,10 +243,10 @@ pub fn acquire_instance(
         cloud.terminate_at(inst, ready)?;
         // The replacement boots while we finish rejecting this one.
         not_before = ready;
-        last = Some(inst);
     }
-    // lint:allow(RL001, the screening loop above always runs at least one attempt before falling through)
-    Err(CloudError::NotRunning(last.expect("at least one attempt")))
+    Err(CloudError::ScreeningExhausted {
+        attempts: policy.max_attempts,
+    })
 }
 
 /// Run every share of the plan on its own fresh instance, all in parallel

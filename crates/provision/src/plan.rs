@@ -1,8 +1,19 @@
 //! Execution plans: which instance processes which files.
 
+use binpack::{Item, Packing};
 use corpus::FileSpec;
 use perfmodel::Fit;
 use serde::{Deserialize, Serialize};
+
+/// `files` as packing items whose ids are their positions, the numbering
+/// [`Plan::from_packing`] reads back.
+pub fn file_items(files: &[FileSpec]) -> Vec<Item> {
+    files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| Item::new(i as u64, f.size))
+        .collect()
+}
 
 /// One instance's share of the workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,6 +68,30 @@ impl Plan {
             planning_deadline_secs,
             volume_per_instance,
         }
+    }
+
+    /// Assemble a plan that gives each bin of `packing`, a packing of
+    /// [`file_items`]`(files)`, to one instance.
+    pub fn from_packing(
+        files: &[FileSpec],
+        packing: &Packing,
+        fit: &Fit,
+        deadline_secs: f64,
+        planning_deadline_secs: f64,
+        volume_per_instance: u64,
+    ) -> Self {
+        let bins = packing
+            .bins
+            .iter()
+            .map(|b| b.items.iter().map(|it| files[it.id as usize]).collect())
+            .collect();
+        Plan::from_bins(
+            bins,
+            fit,
+            deadline_secs,
+            planning_deadline_secs,
+            volume_per_instance,
+        )
     }
 
     /// Number of instances the plan provisions.

@@ -51,15 +51,6 @@ pub fn cost_for_deadline(pricing: &PricingModel, p_hours: f64, d_hours: f64) -> 
     }
 }
 
-impl PricingModel {
-    /// Dollars for a fleet where instance `i` ran `secs[i]` seconds.
-    pub fn fleet_cost(&self, secs: &[f64]) -> f64 {
-        secs.iter()
-            .map(|&s| instance_hours(s) as f64 * self.hourly_rate)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,13 +106,6 @@ mod tests {
         let stretched = 3600.0 / 49.0 * 49.0 * 2.0;
         assert_eq!(instance_hours(stretched), 2);
         assert_eq!(instance_hours(stretched), ec2sim::billed_hours(stretched));
-    }
-
-    #[test]
-    fn fleet_cost_sums_per_instance_ceilings() {
-        let p = PricingModel::default();
-        let c = p.fleet_cost(&[100.0, 3599.0, 3601.0]);
-        assert!((c - 4.0 * 0.085).abs() < 1e-9);
     }
 
     #[test]

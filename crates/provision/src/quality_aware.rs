@@ -14,6 +14,7 @@ use crate::executor::{
     acquire_instance, ExecutionConfig, ExecutionReport, InstanceRun, StagingTier,
 };
 use crate::pricing::instance_hours;
+use crate::strategy::invert_at;
 use ec2sim::{run_disk_probe_at, Cloud, CloudError, DataLocation};
 use perfmodel::Fit;
 use serde::{Deserialize, Serialize};
@@ -108,9 +109,9 @@ pub fn execute_quality_aware(
         }
         // Volume this instance finishes by its remaining budget: invert
         // the base model at the speed-scaled deadline.
-        let volume = match fit.invert(budget_secs * speed) {
-            Some(v) if v >= 1.0 => v as u64,
-            _ => {
+        let volume = match invert_at(fit, budget_secs * speed) {
+            Ok(v) => v as u64,
+            Err(_) => {
                 cloud.terminate_at(inst, probe_done)?;
                 rejected += 1;
                 continue;

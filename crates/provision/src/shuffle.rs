@@ -42,14 +42,14 @@
 use crate::error::ProvisionError;
 use crate::executor::{ExecutionConfig, Fleet, FreshFleet, RetryPolicy, RunKind, ShareEnd};
 use crate::plan::Plan;
-use crate::strategy::{make_plan, Strategy};
+use crate::strategy::{invert_at, make_plan, Strategy};
 use corpus::{FileSpec, TextGenerator, TextParams};
 use ec2sim::{
     AvailabilityZone, BackendParams, Cloud, CloudError, DataLocation, SharingBackend,
     TransferEngine, TransferRequest,
 };
 use obs::Obs;
-use perfmodel::{adjusted_deadline, adjustment_factor, try_fit, Fit, ModelKind, ResidualStats};
+use perfmodel::{try_fit, Fit, ModelKind};
 use serde::{Deserialize, Serialize};
 use textapps::aggregate::{
     map_document_into, merge_partials, partial_bytes, partition_partial, render,
@@ -402,9 +402,7 @@ pub fn plan_shuffle(
                 transfer_cost: dry_run_cost(backend, seed, movements),
             },
             Some(fit) => {
-                let res = ResidualStats::from_relative_residuals(&fit.relative_residuals);
-                let a = adjustment_factor(&res, p_miss);
-                let b_adj = adjusted_deadline(budget_secs, a);
+                let b_adj = fit.adjusted_deadline(budget_secs, p_miss);
                 // Every movement crosses the backend twice (PUT + GET).
                 let preds: Vec<f64> = movements
                     .iter()
@@ -420,7 +418,7 @@ pub fn plan_shuffle(
                 } else {
                     (sum2 / streams as f64).max(max2)
                 };
-                let stream_bytes = fit.invert(b_adj).filter(|x| *x >= 1.0).unwrap_or(0.0);
+                let stream_bytes = invert_at(&fit, b_adj).unwrap_or(0.0);
                 let streams_needed = if total_bytes == 0 {
                     0
                 } else if stream_bytes >= 1.0 {

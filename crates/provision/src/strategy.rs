@@ -1,10 +1,10 @@
 //! Planning strategies — the variants compared across Figs 8 and 9.
 
 use crate::error::ProvisionError;
-use crate::plan::Plan;
-use binpack::{first_fit, uniform_k_bins, Item};
+use crate::plan::{file_items, Plan};
+use binpack::{first_fit, uniform_k_bins};
 use corpus::FileSpec;
-use perfmodel::{adjusted_deadline, adjustment_factor, Fit, ResidualStats};
+use perfmodel::Fit;
 use serde::{Deserialize, Serialize};
 
 /// How to turn (model, volume, deadline) into per-instance bins.
@@ -27,35 +27,21 @@ pub enum Strategy {
     },
 }
 
-fn to_items(files: &[FileSpec]) -> Vec<Item> {
-    files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| Item::new(i as u64, f.size))
-        .collect()
-}
-
-fn bins_to_filelists(packing: &binpack::Packing, files: &[FileSpec]) -> Vec<Vec<FileSpec>> {
-    packing
-        .bins
-        .iter()
-        .map(|b| b.items.iter().map(|it| files[it.id as usize]).collect())
-        .collect()
-}
-
 /// Invert `fit` at deadline `d`, mapping the two failure modes (no inverse,
-/// inverse below one byte per instance) to typed errors.
-fn invert_at(fit: &Fit, d: f64) -> Result<u64, ProvisionError> {
+/// inverse below one byte) to typed errors. This is the one inversion check
+/// of every planner: the inverse comes back unfloored, so a caller that
+/// needs whole bytes floors it itself.
+pub(crate) fn invert_at(fit: &Fit, d: f64) -> Result<f64, ProvisionError> {
     let x = fit
         .invert(d)
         .ok_or(ProvisionError::NotInvertible { deadline_secs: d })?;
-    if x < 1.0 {
+    if x.is_nan() || x < 1.0 {
         return Err(ProvisionError::DeadlineBelowFixedCosts {
             deadline_secs: d,
             inverse_bytes: x,
         });
     }
-    Ok(x as u64)
+    Ok(x)
 }
 
 /// Build a plan for processing `files` before `deadline_secs` under `fit`.
@@ -70,60 +56,41 @@ pub fn make_plan(
     deadline_secs: f64,
 ) -> Result<Plan, ProvisionError> {
     let total: u64 = files.iter().map(|f| f.size).sum();
-
-    let plan = match strategy {
+    // Instances that `x` bytes each need to cover the volume.
+    let fleet = |x: u64| total.div_ceil(x).max(1);
+    let (packing, planning_deadline, x0) = match strategy {
         Strategy::CapacityDriven => {
-            let x0 = invert_at(fit, deadline_secs)?;
-            let packing = first_fit(&to_items(files), x0);
-            Plan::from_bins(
-                bins_to_filelists(&packing, files),
-                fit,
-                deadline_secs,
-                deadline_secs,
-                x0,
-            )
+            let x0 = invert_at(fit, deadline_secs)? as u64;
+            (first_fit(&file_items(files), x0), deadline_secs, x0)
         }
         Strategy::UniformBins => {
-            let x0 = invert_at(fit, deadline_secs)?;
-            let i = total.div_ceil(x0).max(1) as usize;
-            let packing = uniform_k_bins(&to_items(files), i);
-            Plan::from_bins(
-                bins_to_filelists(&packing, files),
-                fit,
-                deadline_secs,
-                deadline_secs,
-                x0,
-            )
+            let x0 = invert_at(fit, deadline_secs)? as u64;
+            let bins = uniform_k_bins(&file_items(files), fleet(x0) as usize);
+            (bins, deadline_secs, x0)
         }
         Strategy::AdjustedDeadline { p_miss } => {
-            let res = ResidualStats::from_relative_residuals(&fit.relative_residuals);
-            let a = adjustment_factor(&res, p_miss);
-            let d_adj = adjusted_deadline(deadline_secs, a);
-            let x0 = invert_at(fit, deadline_secs)?;
-            let i = total.div_ceil(x0).max(1) as usize;
+            let d_adj = fit.adjusted_deadline(deadline_secs, p_miss);
+            let x0 = invert_at(fit, deadline_secs)? as u64;
+            let i = fleet(x0);
             // Uniform over i instances gives V/i per instance; if that
             // already meets the adjusted deadline, keep the cheaper fleet.
-            let vd1 = total.div_ceil(i as u64);
-            let planning_deadline;
-            let bins = if fit.predict(vd1 as f64) <= d_adj {
-                planning_deadline = deadline_secs;
-                uniform_k_bins(&to_items(files), i)
+            let (i, planning_deadline) = if fit.predict(total.div_ceil(i) as f64) <= d_adj {
+                (i, deadline_secs)
             } else {
-                planning_deadline = d_adj;
-                let x_adj = invert_at(fit, d_adj)?;
-                let i_adj = total.div_ceil(x_adj).max(1) as usize;
-                uniform_k_bins(&to_items(files), i_adj)
+                (fleet(invert_at(fit, d_adj)? as u64), d_adj)
             };
-            Plan::from_bins(
-                bins_to_filelists(&bins, files),
-                fit,
-                deadline_secs,
-                planning_deadline,
-                x0,
-            )
+            let bins = uniform_k_bins(&file_items(files), i as usize);
+            (bins, planning_deadline, x0)
         }
     };
-    Ok(plan)
+    Ok(Plan::from_packing(
+        files,
+        &packing,
+        fit,
+        deadline_secs,
+        planning_deadline,
+        x0,
+    ))
 }
 
 #[cfg(test)]

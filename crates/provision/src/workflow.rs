@@ -66,9 +66,8 @@ pub enum WorkflowError {
         /// Hours available.
         hours: u64,
     },
-    /// A stage's model could not be inverted at its subdeadline.
-    StageInfeasible(String),
-    /// Plan construction for a stage failed with a provisioning error.
+    /// A stage cannot be planned at its subdeadline: its model has no
+    /// inverse there, or the subdeadline is below the model's fixed costs.
     StagePlanFailed {
         /// The stage name.
         stage: String,
@@ -84,9 +83,6 @@ impl std::fmt::Display for WorkflowError {
                 f,
                 "{stages} stages need at least {stages} whole hours; only {hours} available"
             ),
-            WorkflowError::StageInfeasible(name) => {
-                write!(f, "stage {name} cannot meet its subdeadline")
-            }
             WorkflowError::StagePlanFailed { stage, source } => {
                 write!(f, "stage {stage} plan failed: {source}")
             }
@@ -173,10 +169,6 @@ pub fn schedule_workflow(
     let mut current_files: Vec<FileSpec> = input.to_vec();
     for ((stage, &volume), &stage_hours) in stages.iter().zip(&volumes).zip(&alloc) {
         let sub = stage_hours as f64 * 3600.0;
-        let feasible = stage.fit.invert(sub).map(|x| x >= 1.0).unwrap_or(false);
-        if !feasible {
-            return Err(WorkflowError::StageInfeasible(stage.name.clone()));
-        }
         let plan = make_plan(Strategy::UniformBins, &current_files, &stage.fit, sub).map_err(
             |source| WorkflowError::StagePlanFailed {
                 stage: stage.name.clone(),
@@ -294,6 +286,32 @@ mod tests {
         let err =
             schedule_workflow(&stages(), &input(1), 2.0 * 3600.0, &Default::default()).unwrap_err();
         assert!(matches!(err, WorkflowError::DeadlineTooShort { .. }));
+    }
+
+    #[test]
+    fn stage_below_its_fixed_costs_fails_to_plan() {
+        // Two hours for two stages: each gets one, but the second stage's
+        // fixed cost alone is 5,000 s.
+        let xs: Vec<f64> = (1..=10).map(|i| i as f64 * 1.0e9).collect();
+        let ys: Vec<f64> = xs.iter().map(|&x| 5_000.0 + 60.0 * x / 1.0e9).collect();
+        let slow_start = Stage {
+            name: "slow-start".into(),
+            fit: fit_model(ModelKind::Affine, &xs, &ys),
+            volume_factor: 1.0,
+        };
+        let stages = vec![stages().remove(0), slow_start];
+        let err =
+            schedule_workflow(&stages, &input(1), 2.0 * 3600.0, &Default::default()).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                WorkflowError::StagePlanFailed {
+                    stage,
+                    source: crate::error::ProvisionError::DeadlineBelowFixedCosts { .. },
+                } if stage == "slow-start"
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ever-growing fleets: the admitted plan is the tenant's contract.
 
 use crate::job::Job;
-use perfmodel::{adjusted_deadline, adjustment_factor, Fit, ResidualStats};
+use perfmodel::Fit;
 use provision::{make_plan, Plan, ProvisionError, Strategy};
 use serde::{Deserialize, Serialize};
 
@@ -73,13 +73,6 @@ pub enum Admission {
     Rejected(RejectReason),
 }
 
-/// The adjusted deadline `D′ = D/(1+a)` for this fit at miss probability
-/// `p_miss`.
-pub fn adjusted_for(fit: &Fit, deadline_secs: f64, p_miss: f64) -> f64 {
-    let res = ResidualStats::from_relative_residuals(&fit.relative_residuals);
-    adjusted_deadline(deadline_secs, adjustment_factor(&res, p_miss))
-}
-
 /// Decide whether `job` can ever be served: size its fleet by inverting
 /// `fit` at the adjusted deadline and check it against the pool's total
 /// capacity. Returns the admitted plan alongside the verdict so the
@@ -88,7 +81,7 @@ pub fn admit(job: &Job, fit: &Fit, p_miss: f64, capacity: usize) -> (Admission, 
     if job.files.is_empty() {
         return (Admission::Rejected(RejectReason::EmptyJob), None);
     }
-    let d_adj = adjusted_for(fit, job.deadline_secs, p_miss);
+    let d_adj = fit.adjusted_deadline(job.deadline_secs, p_miss);
     let plan = match make_plan(
         Strategy::AdjustedDeadline { p_miss },
         &job.files,

@@ -15,8 +15,6 @@ pub struct GrepOutcome {
     pub occurrences: usize,
     /// Bytes scanned.
     pub bytes_scanned: u64,
-    /// The matching lines themselves (only when capture is requested).
-    pub lines: Vec<String>,
 }
 
 /// Compiled fixed-string pattern.
@@ -24,7 +22,6 @@ pub struct GrepOutcome {
 pub struct Grep {
     pattern: Vec<u8>,
     shift: [usize; 256],
-    capture_lines: bool,
 }
 
 impl Grep {
@@ -37,17 +34,7 @@ impl Grep {
         for (i, &b) in pattern.iter().enumerate().take(m - 1) {
             shift[b as usize] = m - 1 - i;
         }
-        Grep {
-            pattern,
-            shift,
-            capture_lines: false,
-        }
-    }
-
-    /// Also collect the text of matching lines (costs allocations).
-    pub fn capturing_lines(mut self) -> Self {
-        self.capture_lines = true;
-        self
+        Grep { pattern, shift }
     }
 
     /// The pattern as bytes.
@@ -91,18 +78,12 @@ impl Grep {
             matching_lines: 0,
             occurrences: 0,
             bytes_scanned: input.len() as u64,
-            lines: Vec::new(),
         };
         for line in input.split(|&b| b == b'\n') {
             let c = self.count(line);
             if c > 0 {
                 outcome.matching_lines += 1;
                 outcome.occurrences += c;
-                if self.capture_lines {
-                    outcome
-                        .lines
-                        .push(String::from_utf8_lossy(line).into_owned());
-                }
             }
         }
         outcome
@@ -114,14 +95,12 @@ impl Grep {
             matching_lines: 0,
             occurrences: 0,
             bytes_scanned: 0,
-            lines: Vec::new(),
         };
         for input in inputs {
             let o = self.run(input);
             total.matching_lines += o.matching_lines;
             total.occurrences += o.occurrences;
             total.bytes_scanned += o.bytes_scanned;
-            total.lines.extend(o.lines);
         }
         total
     }
@@ -157,11 +136,10 @@ mod tests {
 
     #[test]
     fn line_matching_like_grep() {
-        let g = Grep::new("fox").capturing_lines();
+        let g = Grep::new("fox");
         let o = g.run(b"the quick brown fox\nlazy dog\nfox fox\n");
         assert_eq!(o.matching_lines, 2);
         assert_eq!(o.occurrences, 3);
-        assert_eq!(o.lines, vec!["the quick brown fox", "fox fox"]);
     }
 
     #[test]

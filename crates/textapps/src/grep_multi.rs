@@ -109,11 +109,6 @@ impl MultiGrep {
         }
     }
 
-    /// Number of compiled patterns.
-    pub fn pattern_count(&self) -> usize {
-        self.patterns.len()
-    }
-
     /// Scan `haystack`, counting every (possibly overlapping) occurrence
     /// of every pattern.
     pub fn scan(&self, haystack: &[u8]) -> MultiOutcome {
@@ -129,22 +124,6 @@ impl MultiGrep {
             counts,
             bytes_scanned: haystack.len() as u64,
         }
-    }
-
-    /// Scan many buffers, accumulating counts (a probe set of unit files).
-    pub fn scan_many<'a>(&self, inputs: impl IntoIterator<Item = &'a [u8]>) -> MultiOutcome {
-        let mut total = MultiOutcome {
-            counts: vec![0; self.patterns.len()],
-            bytes_scanned: 0,
-        };
-        for input in inputs {
-            let o = self.scan(input);
-            total.bytes_scanned += o.bytes_scanned;
-            for (t, c) in total.counts.iter_mut().zip(&o.counts) {
-                *t += c;
-            }
-        }
-        total
     }
 }
 
@@ -192,15 +171,6 @@ mod tests {
         let o = m.scan(&hay);
         assert_eq!(o.total(), 0);
         assert_eq!(o.bytes_scanned, 100_000);
-    }
-
-    #[test]
-    fn scan_many_accumulates() {
-        let m = MultiGrep::new(&["ab"]);
-        let bufs: Vec<&[u8]> = vec![b"ab ab", b"no", b"ab"];
-        let o = m.scan_many(bufs);
-        assert_eq!(o.counts, vec![3]);
-        assert_eq!(o.bytes_scanned, 5 + 2 + 2);
     }
 
     #[test]

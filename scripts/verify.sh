@@ -59,6 +59,15 @@ if [[ $fast -eq 0 ]]; then
   # item it calls fails here rather than in the benchmark run.
   echo "==> perfbench self-test"
   python3 perfbench/test_perfbench.py
+  # `cargo test` only compiles the examples. They drive the public
+  # planning, execution and scheduling entry points end to end, so run
+  # each once; a panic or an error exit fails here.
+  echo "==> examples (release, one run each)"
+  for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "--> $name"
+    cargo run --release -q --example "$name" >/dev/null
+  done
   # The chaos harness already ran under `cargo test -q`; the ablation bin
   # additionally persists the DegradedReport artifact.
   echo "==> chaos ablation (writes results/CHAOS_seed0_smoke.{json,csv})"

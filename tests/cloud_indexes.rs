@@ -129,22 +129,23 @@ fn run(seed: u64, seen: &mut Seen) {
                     assert_eq!(got, Err(CloudError::NoSuchInstance(id)), "{}", at("ghost"));
                     continue;
                 };
-                // Every volume `id` holds is released, and none other.
-                let mut held = 0;
-                for (v, holder) in r.holders.iter_mut().enumerate() {
-                    if *holder == Some(id) {
-                        *holder = None;
-                        held += 1;
-                    } else if holder.is_some() && r.held_before[v].contains(&id) {
-                        seen.moved_survived += 1;
-                    }
-                }
-                if held > 0 {
-                    seen.released += 1;
-                }
                 if inst.terminated_at.is_some() {
+                    // A repeated terminate releases nothing.
                     assert_eq!(got, Err(CloudError::Terminated(id)), "{}", at("twice"));
                 } else {
+                    // Every volume `id` holds is released, and none other.
+                    let mut held = 0;
+                    for (v, holder) in r.holders.iter_mut().enumerate() {
+                        if *holder == Some(id) {
+                            *holder = None;
+                            held += 1;
+                        } else if holder.is_some() && r.held_before[v].contains(&id) {
+                            seen.moved_survived += 1;
+                        }
+                    }
+                    if held > 0 {
+                        seen.released += 1;
+                    }
                     assert_eq!(got, Ok(()), "{}", at("terminate"));
                     inst.terminated_at = Some(when);
                     r.ledger.record(inst, when);
@@ -161,6 +162,9 @@ fn run(seed: u64, seen: &mut Seen) {
                 let id = InstanceId(rng.random_range(0..r.instances.len() as u64));
                 let when = pick_time(&mut rng, now);
                 let want = match r.holders[v.0 as usize] {
+                    _ if r.instances[id.0 as usize].terminated_at.is_some() => {
+                        Err(CloudError::Terminated(id))
+                    }
                     _ if r.instances[id.0 as usize].state_at(when) != InstanceState::Running => {
                         Err(CloudError::NotRunning(id))
                     }

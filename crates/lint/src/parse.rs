@@ -5,8 +5,9 @@
 //!
 //! * module and `impl` nesting, so every `fn` gets a qualified path like
 //!   `binpack::fast::MaxSegTree::update`,
-//! * `#[cfg(test)]` / `#[test]` gating, tracked the same way the line
-//!   scanner tracks it, so test-only functions stay out of the call graph,
+//! * `#[cfg(test)]` / `#[test]` gating, matched against the same list of
+//!   gates as the line view (`tokens::is_test_gate`), so test-only
+//!   functions stay out of the call graph,
 //! * visibility: only a bare `pub` marks a public API; `pub(crate)` and
 //!   friends are internal,
 //! * call sites inside function bodies — plain calls, qualified path calls
@@ -18,7 +19,7 @@
 //! in grammar completeness — this is an analysis substrate, not a compiler
 //! front end.
 
-use crate::tokens::{tokenize, Token, TokenKind};
+use crate::tokens::{is_test_gate, tokenize, Token, TokenKind};
 
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,16 +117,6 @@ fn is_joint(toks: &[Tok], i: usize, op: &str) -> bool {
     }
 }
 
-/// Scan a squashed attribute body for test gates, mirroring the line
-/// scanner's `is_test_attr`.
-fn attr_is_test_gate(squashed: &str) -> bool {
-    squashed.starts_with("cfg(test)")
-        || squashed.starts_with("cfg(all(test")
-        || squashed.starts_with("cfg(any(test")
-        || squashed == "test"
-        || squashed.starts_with("test]")
-}
-
 /// Skip a balanced `<…>` generic group starting at the `<` in `toks[i]`;
 /// returns the index just past the matching `>`. `->` arrows inside are
 /// ignored. Gives up (returns the start) after an unbalanced scan.
@@ -187,7 +178,8 @@ pub fn parse_file(rel: &str, crate_dir: &str, source: &str) -> FileIndex {
         let t = &toks[i];
         match t.text {
             "#" if toks.get(i + 1).map(|n| n.text) == Some("[") => {
-                // Attribute: squash to matching `]` and look for test gates.
+                // Attribute: squash through the matching `]` and look for
+                // test gates.
                 let mut j = i + 2;
                 let mut brackets = 1usize;
                 let mut squashed = String::new();
@@ -195,11 +187,12 @@ pub fn parse_file(rel: &str, crate_dir: &str, source: &str) -> FileIndex {
                     match toks[j].text {
                         "[" => brackets += 1,
                         "]" => brackets -= 1,
-                        other => squashed.push_str(other),
+                        _ => {}
                     }
+                    squashed.push_str(toks[j].text);
                     j += 1;
                 }
-                if attr_is_test_gate(&squashed) {
+                if is_test_gate(&squashed) {
                     pending_test_attr = Some(groups);
                 }
                 i = j;

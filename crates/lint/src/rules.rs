@@ -1,12 +1,12 @@
 //! The rule registry: stable IDs, severities, scopes and matchers.
 //!
-//! Rules are lexical checks over [`scanner::Line`](crate::scanner::Line)
+//! Rules are lexical checks over [`tokens::Line`](crate::tokens::Line)
 //! views — string literals, comments and test code are already resolved by
-//! the scanner, so a matcher only has to recognise its pattern in real
+//! the line view, so a matcher only has to recognise its pattern in real
 //! library code.
 
 use crate::context::{Category, FileContext};
-use crate::scanner::Line;
+use crate::tokens::Line;
 
 /// How bad a finding is. Errors fail the verify gate; warnings are
 /// reported but do not affect the exit code.
@@ -379,10 +379,10 @@ fn check_lossy_cast(line: &Line) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scanner::scan;
+    use crate::tokens::line_view;
 
     fn one(src: &str) -> Line {
-        scan(src).into_iter().next().expect("one line")
+        line_view(src).into_iter().next().expect("one line")
     }
 
     #[test]

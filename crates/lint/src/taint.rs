@@ -23,6 +23,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::parse::FnDef;
+use crate::tokens::Line;
 use std::collections::BTreeMap;
 
 /// What kind of nondeterminism a source introduces.
@@ -105,12 +106,12 @@ fn is_ident_byte(b: u8) -> bool {
 }
 
 /// Masked body lines of a def: 1-based `line..=end_line` clamped to the
-/// file, as (line_number, text) pairs.
-fn body_lines<'a>(def: &FnDef, masked: &'a [String]) -> Vec<(usize, &'a str)> {
+/// file, as (line_number, code) pairs.
+fn body_lines<'a>(def: &FnDef, lines: &'a [Line]) -> Vec<(usize, &'a str)> {
     let lo = def.line.max(1);
-    let hi = def.end_line.min(masked.len());
-    (lo..=hi.max(lo).min(masked.len()))
-        .filter_map(|n| masked.get(n - 1).map(|s| (n, s.as_str())))
+    let hi = def.end_line.min(lines.len());
+    (lo..=hi.max(lo).min(lines.len()))
+        .filter_map(|n| lines.get(n - 1).map(|l| (n, l.code.as_str())))
         .collect()
 }
 
@@ -143,8 +144,8 @@ const SORT_POSITIONS: &[&str] = &[
 const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os", "args", "args_os"];
 
 /// Detect every source in every (non-test) function of the graph.
-/// `masked` maps workspace-relative paths to scanner-masked lines.
-pub fn find_sources(graph: &CallGraph, masked: &BTreeMap<String, Vec<String>>) -> Vec<Source> {
+/// `views` maps workspace-relative paths to their line views.
+pub fn find_sources(graph: &CallGraph, views: &BTreeMap<String, Vec<Line>>) -> Vec<Source> {
     let mut out: Vec<Source> = Vec::new();
     for (di, def) in graph.defs.iter().enumerate() {
         let mut push = |kind: SourceKind, line: usize, detail: String| {
@@ -176,7 +177,7 @@ pub fn find_sources(graph: &CallGraph, masked: &BTreeMap<String, Vec<String>>) -
             }
         }
 
-        let lines = body_lines(def, masked.get(&def.file).map_or(&[][..], Vec::as_slice));
+        let lines = body_lines(def, views.get(&def.file).map_or(&[][..], Vec::as_slice));
 
         // HashOrder: a hashed container named in the body plus iteration
         // evidence anywhere in the same body.
@@ -260,10 +261,10 @@ pub fn find_sources(graph: &CallGraph, masked: &BTreeMap<String, Vec<String>>) -
 /// without snippets — the driver anchors and decorates them.
 pub fn run(
     graph: &CallGraph,
-    masked: &BTreeMap<String, Vec<String>>,
+    views: &BTreeMap<String, Vec<Line>>,
     sensitive: &[&str],
 ) -> Vec<TaintFinding> {
-    let sources = find_sources(graph, masked);
+    let sources = find_sources(graph, views);
     let mut findings: Vec<TaintFinding> = Vec::new();
 
     // RL008 / RL009: single-function findings at the evidence line.
@@ -370,14 +371,14 @@ mod tests {
     use super::*;
     use crate::callgraph::build;
     use crate::parse::parse_file;
-    use crate::tokens::masked_lines;
+    use crate::tokens::line_view;
 
     fn analyze(files: &[(&str, &str, &str)], sensitive: &[&str]) -> Vec<TaintFinding> {
         let mut defs = Vec::new();
         let mut masked = BTreeMap::new();
         for (rel, crate_dir, src) in files {
             defs.extend(parse_file(rel, crate_dir, src).defs);
-            masked.insert(rel.to_string(), masked_lines(src));
+            masked.insert(rel.to_string(), line_view(src));
         }
         run(&build(defs), &masked, sensitive)
     }

@@ -117,11 +117,15 @@ pub fn execute_dynamic(
     let attach = cloud.config().attach_overhead_s;
     let mut runs = Vec::with_capacity(plan.instance_count());
     let mut replacements_total = 0usize;
+    // Every instance a share uses is billed over its own span, from ready
+    // to termination, retired laggards included.
+    let mut hours = 0u64;
 
     for share in &plan.instances {
         // Stage the whole share on one persistent volume.
         let vol = cloud.create_volume(cfg.zone, share.volume.max(1));
         let (mut inst, ready) = acquire_instance(cloud, cfg)?;
+        let mut inst_ready = ready;
         let mut t = ready + attach;
         cloud.attach_volume_at(vol, inst, ready)?;
         let t_job_start = t;
@@ -155,8 +159,10 @@ pub fn execute_dynamic(
                 // the volume — no data transfer (the EBS persistence
                 // argument of §7).
                 cloud.terminate_at(inst, t)?;
+                hours += instance_hours(t - inst_ready);
                 let (next, boot) = acquire_instance(cloud, cfg)?;
                 inst = next;
+                inst_ready = boot;
                 t = t.max(boot) + attach;
                 cloud.attach_volume_at(vol, inst, t - attach)?;
                 replacements += 1;
@@ -164,6 +170,7 @@ pub fn execute_dynamic(
             }
         }
         cloud.terminate_at(inst, t)?;
+        hours += instance_hours(t - inst_ready);
         let job_secs = t - t_job_start + attach;
         runs.push(InstanceRun {
             instance: inst,
@@ -175,7 +182,6 @@ pub fn execute_dynamic(
         });
     }
 
-    let hours = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
     Ok(DynamicReport {
         execution: ExecutionReport::summarize(runs, plan.deadline_secs, 0, hours, cfg),
         replacements: replacements_total,

@@ -85,6 +85,7 @@ pub fn execute_quality_aware(
     let mut measured_mbps = Vec::new();
     let mut rejected = 0usize;
     let mut candidates = 0usize;
+    let mut hours = 0u64;
 
     while !remaining.is_empty() {
         if candidates >= qcfg.max_candidates {
@@ -93,30 +94,26 @@ pub fn execute_quality_aware(
         candidates += 1;
         let (inst, boot) = acquire_instance(cloud, cfg)?;
         let (mbps, probe_done) = run_disk_probe_at(cloud, inst, boot, qcfg.probe_bytes)?;
-        if mbps < qcfg.min_usable_mbps {
-            cloud.terminate_at(inst, probe_done)?;
-            rejected += 1;
-            continue;
-        }
 
         // Scale the model: marginal cost grows as bandwidth falls.
         let speed = (mbps / qcfg.reference_mbps).powf(qcfg.io_sensitivity);
         let budget_secs = (deadline_secs - (probe_done - boot) - attach) * qcfg.safety;
-        if budget_secs <= 0.0 {
-            cloud.terminate_at(inst, probe_done)?;
-            rejected += 1;
-            continue;
-        }
         // Volume this instance finishes by its remaining budget: invert
         // the base model at the speed-scaled deadline.
-        let volume = match invert_at(fit, budget_secs * speed) {
-            Ok(v) => v as u64,
-            Err(_) => {
-                cloud.terminate_at(inst, probe_done)?;
-                rejected += 1;
-                continue;
-            }
+        let volume = if mbps < qcfg.min_usable_mbps || budget_secs <= 0.0 {
+            None
+        } else {
+            invert_at(fit, budget_secs * speed).ok()
         };
+        let Some(volume) = volume else {
+            // A rejected candidate is billed from boot to the end of its
+            // probe.
+            cloud.terminate_at(inst, probe_done)?;
+            hours += instance_hours(probe_done - boot);
+            rejected += 1;
+            continue;
+        };
+        let volume = volume as u64;
 
         // Carve that many bytes off the front of the remaining work.
         let mut take = 0usize;
@@ -145,6 +142,7 @@ pub fn execute_quality_aware(
         let report = cloud.submit_job(inst, model, share, data, probe_done + setup)?;
         cloud.terminate_at(inst, report.finished_at)?;
         let job_secs = (probe_done - boot) + setup + report.observed_secs;
+        hours += instance_hours(job_secs);
         measured_mbps.push(mbps);
         runs.push(InstanceRun {
             instance: inst,
@@ -156,7 +154,6 @@ pub fn execute_quality_aware(
         });
     }
 
-    let hours = runs.iter().map(|r| instance_hours(r.job_secs)).sum();
     Ok(QualityAwareReport {
         execution: ExecutionReport::summarize(runs, deadline_secs, 0, hours, cfg),
         measured_mbps,

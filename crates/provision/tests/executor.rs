@@ -433,6 +433,41 @@ fn every_executor_bills_the_configured_family() {
     )
     .unwrap();
     check("quality-aware", &cloud, &report.execution);
+
+    // On a hostile fleet the monitor retires laggards and the probe
+    // rejects candidates; those instances are billed too.
+    let hostile = CloudConfig {
+        seed: 9000,
+        slow_fraction: 1.0,
+        inconsistent_fraction: 0.0,
+        startup_mean_s: 5.0,
+        startup_jitter_s: 0.0,
+        slow_segment_fraction: 0.0,
+        ..CloudConfig::default()
+    };
+    let mut cloud = Cloud::new(hostile);
+    let retiring = DynamicConfig {
+        batches: 6,
+        slowdown_threshold: 1.0,
+        max_replacements: 3,
+    };
+    let report = execute_dynamic(&mut cloud, &plan, &model, &m, &cfg, &retiring).unwrap();
+    assert!(report.replacements > 0, "no laggard retired: {report:?}");
+    check("dynamic on a hostile fleet", &cloud, &report.execution);
+
+    let mut cloud = Cloud::new(hostile);
+    let rejecting = QualityAwareConfig {
+        min_usable_mbps: 75.0,
+        ..QualityAwareConfig::default()
+    };
+    let report =
+        execute_quality_aware(&mut cloud, &files, &m, 30.0, &model, &cfg, &rejecting).unwrap();
+    assert!(report.rejected > 0, "no candidate rejected: {report:?}");
+    check(
+        "quality-aware on a hostile fleet",
+        &cloud,
+        &report.execution,
+    );
 }
 
 proptest! {

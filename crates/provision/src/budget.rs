@@ -4,13 +4,14 @@
 //! work (Oprescu & Kielmann's bag-of-tasks scheduling under budget
 //! constraints, ref \[14\]) flips it: minimize the makespan subject to a
 //! dollar budget. Under flat-rate pricing both reduce to choosing the
-//! fleet size `i`: makespan is `f(V/i)` and cost is
-//! `i · ⌈f(V/i)/3600⌉ · r`, so an exhaustive sweep over `i` is exact.
+//! fleet size `i`. Each `i` is judged by the plan it would run, whole files
+//! packed into `i` uniform bins: its makespan is the slowest share's
+//! prediction and its cost bills every share's started hours. The sweep
+//! over `i` is exhaustive, but uniform bins are a heuristic packing, so the
+//! best fleet found is not guaranteed optimal when files are lumpy.
 
-use crate::error::ProvisionError;
 use crate::plan::{file_items, Plan};
 use crate::pricing::{instance_hours, PricingModel};
-use crate::strategy::{make_plan, Strategy};
 use corpus::FileSpec;
 use perfmodel::Fit;
 use serde::{Deserialize, Serialize};
@@ -20,17 +21,17 @@ use serde::{Deserialize, Serialize};
 pub struct BudgetPlan {
     /// The chosen plan (uniform bins over the chosen fleet).
     pub plan: Plan,
-    /// Predicted makespan, seconds.
+    /// Predicted makespan, seconds: the plan's slowest share.
     pub predicted_makespan_secs: f64,
-    /// Predicted cost, dollars.
+    /// Predicted cost, dollars: every share's billed hours.
     pub predicted_cost: f64,
     /// The budget it was planned under.
     pub budget: f64,
 }
 
 /// Find the fleet size minimizing the predicted makespan while keeping the
-/// predicted cost within `budget`. Returns `None` when even a single
-/// instance exceeds the budget (the cheapest possible fleet).
+/// predicted cost within `budget`. Returns `None` when no fleet size fits
+/// the budget.
 ///
 /// `max_instances` bounds the sweep (EC2 account caps; the paper notes
 /// "limitations on the number of instances that can be requested").
@@ -44,64 +45,45 @@ pub fn plan_within_budget(
     assert!(budget >= 0.0, "budget must be non-negative");
     assert!(max_instances >= 1, "need at least one instance allowed");
     let total: u64 = files.iter().map(|f| f.size).sum();
-    let mut best: Option<(usize, f64, f64)> = None; // (i, makespan, cost)
+    let items = file_items(files);
+    let mut best: Option<BudgetPlan> = None;
     for i in 1..=max_instances {
-        let share = (total as f64 / i as f64).ceil();
-        let makespan = fit.predict(share);
+        let packing = binpack::uniform_k_bins(&items, i);
+        let mut plan = Plan::from_packing(files, &packing, fit, 0.0, 0.0, total.div_ceil(i as u64));
+        let makespan = plan.predicted_makespan();
         if makespan <= 0.0 || !makespan.is_finite() {
             continue;
         }
-        let cost = i as f64 * instance_hours(makespan) as f64 * pricing.hourly_rate;
+        let hours: u64 = plan
+            .instances
+            .iter()
+            .map(|share| instance_hours(share.predicted_secs))
+            .sum();
+        let cost = hours as f64 * pricing.hourly_rate;
         if cost > budget + 1e-9 {
             continue;
         }
-        let better = match best {
+        let better = match &best {
             None => true,
             // Prefer lower makespan; tie-break on lower cost.
-            Some((_, m, c)) => makespan < m - 1e-9 || (makespan < m + 1e-9 && cost < c),
+            Some(b) => {
+                let m = b.predicted_makespan_secs;
+                makespan < m - 1e-9 || (makespan < m + 1e-9 && cost < b.predicted_cost)
+            }
         };
         if better {
-            best = Some((i, makespan, cost));
+            // The makespan is the effective deadline.
+            plan.deadline_secs = makespan.max(1e-6);
+            plan.planning_deadline_secs = plan.deadline_secs;
+            best = Some(BudgetPlan {
+                plan,
+                predicted_makespan_secs: makespan,
+                predicted_cost: cost,
+                budget,
+            });
         }
     }
-    let (i, makespan, cost) = best?;
-    // Materialize the plan: uniform bins over i instances, with the
-    // makespan as the effective deadline.
-    let deadline = makespan.max(1e-6);
-    let packing = binpack::uniform_k_bins(&file_items(files), i);
-    Some(BudgetPlan {
-        plan: Plan::from_packing(
-            files,
-            &packing,
-            fit,
-            deadline,
-            deadline,
-            total.div_ceil(i as u64),
-        ),
-        predicted_makespan_secs: makespan,
-        predicted_cost: cost,
-        budget,
-    })
-}
-
-/// The cheapest possible plan regardless of makespan: a single instance
-/// packing all hours (valid under any monotone model — the flat rate makes
-/// splitting across instances never cheaper for linear models, per §5).
-pub fn cheapest_plan(
-    files: &[FileSpec],
-    fit: &Fit,
-    pricing: &PricingModel,
-) -> Result<BudgetPlan, ProvisionError> {
-    let total: u64 = files.iter().map(|f| f.size).sum();
-    let makespan = fit.predict(total as f64);
-    let cost = instance_hours(makespan) as f64 * pricing.hourly_rate;
-    let plan = make_plan(Strategy::UniformBins, files, fit, makespan.max(1.0))?;
-    Ok(BudgetPlan {
-        predicted_makespan_secs: makespan,
-        predicted_cost: cost,
-        budget: cost,
-        plan,
-    })
+    best
 }
 
 #[cfg(test)]
@@ -170,13 +152,16 @@ mod tests {
     }
 
     #[test]
-    fn cheapest_plan_is_single_instance_cost() {
-        let m = model();
+    fn lumpy_files_report_the_returned_fleet() {
+        // Three 1 GB files on at most two instances pack as 2 GB + 1 GB,
+        // whose shares predict 7,001 s and 3,501 s: 3 billed hours.
+        let gb: Vec<FileSpec> = (0..3).map(|i| FileSpec::new(i, 1_000_000_000)).collect();
         let p = PricingModel::default();
-        let cheap = cheapest_plan(&files(8), &m, &p).unwrap();
-        // ~7.8 work-hours => 8 billed hours.
-        assert!(cheap.predicted_cost <= 8.0 * 0.085 + 1e-9);
-        // And no budget below it is feasible.
-        assert!(plan_within_budget(&files(8), &m, cheap.predicted_cost * 0.9, &p, 64).is_none());
+        let bp = plan_within_budget(&gb, &model(), 4.0 * 0.085, &p, 2).unwrap();
+        let shares: Vec<f64> = bp.plan.instances.iter().map(|s| s.predicted_secs).collect();
+        assert_eq!(shares.len(), 2);
+        assert!((bp.predicted_makespan_secs - 7001.0).abs() < 1e-6, "{bp:?}");
+        assert_eq!(bp.predicted_makespan_secs, bp.plan.predicted_makespan());
+        assert!((bp.predicted_cost - 3.0 * 0.085).abs() < 1e-9, "{bp:?}");
     }
 }

@@ -33,7 +33,7 @@ pub mod strategy;
 pub mod switching;
 pub mod workflow;
 
-pub use budget::{cheapest_plan, plan_within_budget, BudgetPlan};
+pub use budget::{plan_within_budget, BudgetPlan};
 pub use dynamic::{execute_dynamic, DynamicConfig, DynamicError, DynamicReport};
 pub use error::ProvisionError;
 pub use executor::{

@@ -37,7 +37,6 @@
 //! `tests/container_format.rs`.
 
 use std::collections::BTreeSet;
-use std::path::Path;
 
 use crate::item::{Bin, Item};
 
@@ -215,11 +214,6 @@ pub enum ContainerError {
         /// CRC recomputed from the payload.
         actual: u32,
     },
-    /// A filesystem operation failed (file helpers only).
-    Io {
-        /// The formatted I/O error.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for ContainerError {
@@ -277,7 +271,6 @@ impl std::fmt::Display for ContainerError {
                 f,
                 "member {member} payload CRC {actual:#010x} != recorded {recorded:#010x}"
             ),
-            ContainerError::Io { message } => write!(f, "container I/O: {message}"),
         }
     }
 }
@@ -566,13 +559,6 @@ impl<'a> Container<'a> {
     }
 }
 
-/// Read a container file into owned bytes (parse with [`Container::parse`]).
-pub fn read_container_file(path: &Path) -> Result<Vec<u8>, ContainerError> {
-    std::fs::read(path).map_err(|e| ContainerError::Io {
-        message: e.to_string(),
-    })
-}
-
 /// Serialize one packed bin as a container: every item becomes a member,
 /// in bin (concatenation) order, named and filled by the supplied closures.
 /// This is the bridge between the packing layer (which sees only sizes)
@@ -653,20 +639,6 @@ mod tests {
     #[test]
     fn output_is_deterministic() {
         assert_eq!(sample(), sample());
-    }
-
-    #[test]
-    fn file_helpers_roundtrip() {
-        let dir = std::env::temp_dir().join("binpack-container-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("unit0.rshpcnt");
-        let mut w = ContainerWriter::new();
-        w.add("m", b"bytes-on-disk").unwrap();
-        std::fs::write(&path, w.finish()).unwrap();
-        let blob = read_container_file(&path).unwrap();
-        let c = Container::parse(&blob).unwrap();
-        assert_eq!(c.get("m").unwrap(), b"bytes-on-disk");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -13,13 +13,6 @@
 use crate::item::{Bin, Item};
 use crate::pack::Packing;
 
-/// Capacity-driven split: first fit in input order with bin capacity
-/// `capacity`. Returns the packing; callers check `packing.len()` against
-/// their instance budget.
-pub fn pack_into_k_bins(items: &[Item], capacity: u64) -> Packing {
-    crate::fast::first_fit(items, capacity)
-}
-
 /// Uniform split into exactly `k` bins using longest-processing-time
 /// greedy: items are considered largest-first and each goes to the
 /// currently least-loaded bin; afterwards the items inside every bin are
@@ -119,7 +112,7 @@ mod tests {
     #[test]
     fn rebalance_keeps_bin_count_and_bytes() {
         let items = Item::from_sizes(&[9, 9, 9, 1, 1, 1, 1, 1, 1]);
-        let cap_driven = pack_into_k_bins(&items, 10);
+        let cap_driven = crate::first_fit(&items, 10);
         let balanced = rebalance_uniform(&cap_driven);
         assert_eq!(balanced.len(), cap_driven.len());
         assert_eq!(balanced.total_size(), cap_driven.total_size());
@@ -139,7 +132,7 @@ mod tests {
         // capacity-driven FF gives [8,2] [8,2] [8]; LPT rebalances to
         // 8,8,8 then the 2s top up the first two -> 10/10/8, max load 10.
         let items = Item::from_sizes(&[8, 2, 8, 2, 8]);
-        let cap_driven = pack_into_k_bins(&items, 10);
+        let cap_driven = crate::first_fit(&items, 10);
         let balanced = rebalance_uniform(&cap_driven);
         let mut loads = balanced.bin_sizes();
         loads.sort_unstable();

@@ -52,13 +52,13 @@ pub use check::{
     CheckViolation,
 };
 pub use container::{
-    container_from_bin, crc32, member_name_hash, read_container_file, Container, ContainerError,
-    ContainerWriter, MemberEntry, FORMAT_VERSION, MAGIC,
+    container_from_bin, crc32, member_name_hash, Container, ContainerError, ContainerWriter,
+    MemberEntry, FORMAT_VERSION, MAGIC,
 };
 pub use derive::derive_merged;
 pub use fast::{best_fit, first_fit, subset_sum_first_fit, uniform_k_bins};
 pub use item::{Bin, Item, ItemId};
-pub use kbins::{naive_uniform_k_bins, pack_into_k_bins, rebalance_uniform};
+pub use kbins::{naive_uniform_k_bins, rebalance_uniform};
 pub use pack::{
     first_fit_decreasing, naive_best_fit, naive_first_fit, next_fit, worst_fit, Packing,
 };

@@ -34,8 +34,8 @@ pub use books::{agnes_grey_like, dubliners_like, Book};
 pub use dist::{EmpiricalHistogram, LogNormal, Normal, Pareto, SizeDistribution, Zipf};
 pub use hist::{histogram, HistogramBin};
 pub use manifest::{FileSpec, Manifest};
-pub use presets::{html_18mil, text_400k, CorpusPreset};
-pub use sample::{sample_by_volume, sample_files};
+pub use presets::{html_18mil, text_400k};
+pub use sample::sample_by_volume;
 pub use text::{html_bytes, text_bytes, TextGenerator, TextParams};
 
 /// Kilobyte, the paper's base unit for Fig 1(b) bins.

@@ -16,16 +16,6 @@ use crate::manifest::{FileSpec, Manifest};
 use crate::{KB, MB};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// Which corpus preset a manifest was generated from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CorpusPreset {
-    /// HTML news articles (Fig 1(a)).
-    Html18Mil,
-    /// Plain-text extracts (Fig 1(b)).
-    Text400K,
-}
 
 /// Full file count of the HTML_18mil corpus.
 pub const HTML_18MIL_FILES: u64 = 18_000_000;

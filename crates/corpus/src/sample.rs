@@ -7,21 +7,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Draw `count` files uniformly without replacement. Panics if the manifest
-/// holds fewer than `count` files.
-pub fn sample_files(m: &Manifest, count: usize, seed: u64) -> Manifest {
-    assert!(
-        count <= m.len(),
-        "cannot sample {count} files from a manifest of {}",
-        m.len()
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut files = m.files.clone();
-    files.shuffle(&mut rng);
-    files.truncate(count);
-    Manifest::new(format!("{}[sample n={count}]", m.name), files, m.seed)
-}
-
 /// Draw disjoint random samples, each of (at least) `volume` bytes, without
 /// replacement across samples. Returns fewer than `k` samples if the corpus
 /// runs out of bytes.
@@ -66,15 +51,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_files_without_replacement() {
-        let m = manifest(100, 10);
-        let s = sample_files(&m, 30, 1);
-        assert_eq!(s.len(), 30);
-        let ids: HashSet<u64> = s.files.iter().map(|f| f.id).collect();
-        assert_eq!(ids.len(), 30);
-    }
-
-    #[test]
     fn samples_disjoint_across_draws() {
         let m = manifest(100, 10);
         let samples = sample_by_volume(&m, 100, 3, 2);
@@ -96,20 +72,5 @@ mod tests {
         for s in &samples {
             assert!(s.total_volume() >= 30);
         }
-    }
-
-    #[test]
-    fn sampling_is_deterministic() {
-        let m = manifest(50, 10);
-        let a = sample_files(&m, 10, 9);
-        let b = sample_files(&m, 10, 9);
-        assert_eq!(a.files, b.files);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn oversampling_panics() {
-        let m = manifest(3, 10);
-        sample_files(&m, 4, 0);
     }
 }

@@ -38,11 +38,6 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Total resolved edge count.
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
     /// Callers of each definition: the reverse adjacency list.
     pub fn reverse_edges(&self) -> Vec<Vec<usize>> {
         let mut rev = vec![Vec::new(); self.defs.len()];

@@ -30,8 +30,10 @@ echo "==> cargo build --release"
 cargo build --release
 
 if [[ $fast -eq 0 ]]; then
-  echo "==> cargo fmt --check"
-  cargo fmt --check
+  # `--all` also checks the vendored stubs, which are path dependencies
+  # rather than workspace members.
+  echo "==> cargo fmt --all --check"
+  cargo fmt --all --check
   echo "==> cargo clippy (workspace, -D warnings)"
   cargo clippy --workspace --all-targets -- -D warnings
   # Ratchet mode: pre-existing findings in results/LINT_baseline.json are

@@ -50,6 +50,6 @@ pub use shuffle::{
     plan_aggregation, plan_shuffle, shuffle_movements, AggregationReport, BackendEvaluation,
     ShuffleConfig, ShuffleError, ShuffleMovement, ShufflePlan, ShuffleReport,
 };
-pub use strategy::{make_plan, Strategy};
+pub use strategy::{make_plan, Sizing, Strategy};
 pub use switching::{switch_analysis, SwitchAnalysis};
 pub use workflow::{schedule_workflow, Stage, StagePlan, WorkflowError, WorkflowSchedule};

@@ -9,19 +9,24 @@
 //! ones), but tenants at their in-flight quota are skipped so one noisy
 //! tenant cannot wedge the fleet.
 //!
+//! A job's plan is built when it dispatches, once: with a family catalog
+//! it is the plan of the cheapest family whose fleet fits the free pool
+//! ([`market::cheapest_family_plan`]); otherwise, or when no family fits,
+//! it is the plan of the base fit at the sizing admission priced.
+//!
 //! Dispatched jobs run through
 //! [`provision::execute_plan_resilient_sourced`] with the shared
 //! [`InstancePool`] as their fleet source: faults and preemptions requeue
 //! bins exactly as in the single-tenant executor, and each share pays
 //! only the marginal hours it adds to the instance it landed on.
 
-use crate::admission::{admit, Admission, DeferReason};
+use crate::admission::{admit_sized, Admission, DeferReason};
 use crate::job::{AppFits, ArrivalTrace};
 use crate::pool::{InstancePool, PoolConfig};
 use crate::report::{JobOutcome, JobStatus, SchedReport, TenantAccount};
 use ec2sim::{Cloud, CloudConfig, CloudError, FaultConfig, FaultPlan, InstanceFamily};
 use obs::Obs;
-use provision::{execute_plan_resilient_sourced, ExecutionConfig, Plan, RetryPolicy};
+use provision::{execute_plan_resilient_sourced, ExecutionConfig, RetryPolicy, Sizing};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,9 +48,10 @@ pub struct SchedConfig {
     pub p_miss: f64,
     /// Maximum concurrently running jobs per tenant.
     pub tenant_inflight_cap: usize,
-    /// Instance-family catalog. When set, each dispatched job is re-planned
-    /// on the cheapest family whose fleet still fits the pool (warm reuse
-    /// stays family-exact); `None` keeps the classic single-type fleet
+    /// Instance-family catalog. When set, each dispatched job runs the plan
+    /// of the cheapest family whose fleet fits the pool's free capacity
+    /// (warm reuse stays family-exact), or the base fit's plan when no
+    /// family's fits; `None` keeps the classic single-type fleet
     /// bit-for-bit.
     pub catalog: Option<Vec<InstanceFamily>>,
     /// Injected fault schedule (None ⇒ fault-free).
@@ -127,7 +133,8 @@ impl Ord for EventTime {
 /// An admitted job waiting to dispatch.
 struct Queued {
     idx: usize,
-    plan: Plan,
+    /// The fleet admission sized on the base fit.
+    sizing: Sizing,
     instances: usize,
     admission: Admission,
     deferrals: u64,
@@ -203,14 +210,14 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
             }
             obs.count("sched.arrivals", 1);
             let fit = cfg.fits.for_kind(job.app);
-            let (admission, plan) = admit(job, fit, cfg.p_miss, pool.capacity());
-            match (plan, admission) {
-                (Some(plan), admission @ Admission::Accepted { .. }) => {
+            let (admission, sizing) = admit_sized(job, fit, cfg.p_miss, pool.capacity());
+            match (sizing, admission) {
+                (Some(sizing), admission @ Admission::Accepted { instances, .. }) => {
                     obs.count("sched.admitted", 1);
                     pending.push(Queued {
                         idx: arrival_ix,
-                        instances: plan.instance_count(),
-                        plan,
+                        sizing,
+                        instances,
                         admission,
                         deferrals: 0,
                         last_defer: None,
@@ -283,35 +290,23 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
             let job = &trace.jobs[q.idx];
             dispatched_any = true;
 
-            // With a catalog, re-plan on the cheapest family whose fleet
-            // still fits the pool right now; the admission plan (built on
-            // the base fit) is the fallback when no family plan fits.
-            let mut exec_cfg = cfg.exec;
-            let mut plan = q.plan;
-            let mut family = None;
-            if let Some(catalog) = &cfg.catalog {
-                let fit = cfg.fits.for_kind(job.app);
-                let free = pool.free_capacity(t).max(q.instances);
-                let best = catalog
-                    .iter()
-                    .filter_map(|fam| {
-                        market::plan_on_family(&job.files, fit, fam, job.deadline_secs, cfg.p_miss)
-                            .ok()
-                            .filter(|p| p.instance_count() <= free)
-                            .map(|p| {
-                                let cost = market::expected_plan_cost(&p, fam.on_demand_rate);
-                                (fam, p, cost)
-                            })
-                    })
-                    .min_by(|a, b| a.2.total_cmp(&b.2));
-                if let Some((fam, fam_plan, _)) = best {
-                    exec_cfg = ExecutionConfig {
-                        itype: fam.itype,
-                        family: Some(*fam),
-                        ..cfg.exec
-                    };
-                    plan = fam_plan;
-                    family = Some(fam.id);
+            // The one plan this job runs: on the cheapest family whose
+            // fleet fits the pool right now, else on the base fit at the
+            // sizing admission priced.
+            let fit = cfg.fits.for_kind(job.app);
+            let chosen = cfg.catalog.as_deref().and_then(|catalog| {
+                let free = pool.free_capacity(t);
+                market::cheapest_family_plan(
+                    &job.files,
+                    fit,
+                    catalog,
+                    job.deadline_secs,
+                    cfg.p_miss,
+                    free,
+                )
+            });
+            let (plan, exec_cfg, family) = match chosen {
+                Some((fam, plan)) => {
                     obs.market(
                         fam.id.label(),
                         "allocate",
@@ -320,8 +315,15 @@ pub fn run_trace(cfg: &SchedConfig, trace: &ArrivalTrace) -> Result<SchedReport,
                         plan.instance_count() as u64,
                         0.0,
                     );
+                    let exec_cfg = ExecutionConfig {
+                        itype: fam.itype,
+                        family: Some(*fam),
+                        ..cfg.exec
+                    };
+                    (plan, exec_cfg, Some(fam.id))
                 }
-            }
+                None => (q.sizing.plan(&job.files, fit), cfg.exec, None),
+            };
 
             obs.count("sched.dispatched", 1);
             let span = obs.span_start("sched.job", t);

@@ -3,7 +3,10 @@
 
 use ec2sim::CloudConfig;
 use proptest::prelude::*;
-use provision::{execute_plan_resilient, ExecutionConfig, FreshFleet, RetryPolicy, StagingTier};
+use provision::{
+    execute_plan_resilient, make_plan, ExecutionConfig, FreshFleet, RetryPolicy, StagingTier,
+    Strategy,
+};
 use sched::{run_trace, Admission, JobStatus, PoolConfig, SchedConfig, TraceConfig};
 
 /// A deterministic cloud (homogeneous, noiseless, jitter-free) so pooled
@@ -247,8 +250,13 @@ fn pooled_leq_isolated(jobs: usize, seed: u64, mean_gap: f64, dl_lo: f64, vol_hi
             continue;
         }
         let fit = cfg.fits.for_kind(job.app);
-        let (_, plan) = sched::admit(job, fit, cfg.p_miss, cfg.pool.capacity);
-        let plan = plan.expect("accepted jobs re-admit");
+        let plan = make_plan(
+            Strategy::AdjustedDeadline { p_miss: cfg.p_miss },
+            &job.files,
+            fit,
+            job.deadline_secs,
+        )
+        .expect("accepted jobs re-admit");
         let mut cloud = ec2sim::Cloud::new(cfg.cloud);
         let report = execute_plan_resilient(
             &mut cloud,

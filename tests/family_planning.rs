@@ -10,19 +10,27 @@
 //! * End to end, `Pipeline::run` judges a family fleet against the user's
 //!   deadline, and a family that cannot pass the §4 screen fails with a
 //!   typed error.
+//! * The dispatcher's chooser, `market::cheapest_family_plan`, picks the
+//!   family and plan that ranking every `plan_on_family` by expected cost
+//!   picks, and `sched::admit`'s sizing-only verdict is the verdict of
+//!   the plan `make_plan` builds.
 //!
 //! Vendored proptest does not shrink, so every failure names its seed.
 
 use corpus::hash::splitmix64;
 use corpus::FileSpec;
 use ec2sim::{CloudError, FamilyId, InstanceFamily};
+use market::{cheapest_family_plan, expected_plan_cost};
 use market::{family_plan, plan_on_family};
 use perfmodel::{fit, Fit, ModelKind};
 use proptest::prelude::*;
 use provision::{make_plan, Plan, Strategy};
+use provision::{ProvisionError, Sizing};
 use reshape::{
     App, ModelSelection, Pipeline, PipelineConfig, PipelineError, ProbeCampaign, Workload,
 };
+use sched::{admit, Admission, Job, RejectReason, TenantId};
+use textapps::AppKind;
 
 /// A uniform draw from `[0, 1)` keyed by `seed`.
 fn unit(seed: u64) -> f64 {
@@ -210,5 +218,232 @@ fn a_low_power_fleet_cannot_pass_the_screen() {
     match Pipeline::new(config).run(&grep_workload()) {
         Err(PipelineError::Cloud(CloudError::ScreeningExhausted { attempts: 16 })) => {}
         other => panic!("expected an exhausted screen, got {other:?}"),
+    }
+}
+
+/// 0–60 files of 0–100 MB, drawn from `seed`; about one in four is empty.
+fn lumpy_corpus(seed: u64) -> Vec<FileSpec> {
+    let n = splitmix64(seed) % 61;
+    (0..n)
+        .map(|i| {
+            let draw = splitmix64(seed ^ (i + 1));
+            let size = if draw.is_multiple_of(4) {
+                0
+            } else {
+                draw % 100_000_000
+            };
+            FileSpec::new(i, size)
+        })
+        .collect()
+}
+
+/// Catalogs to choose from: the default one, one without the standard
+/// family, and two whose families share a multiplier, at the same rate
+/// (a tie) or a rate drawn from `seed`.
+fn catalogs(seed: u64) -> [Vec<InstanceFamily>; 4] {
+    let low = InstanceFamily::low_power();
+    let standard = InstanceFamily::standard();
+    let low_twin = InstanceFamily {
+        id: FamilyId::Standard,
+        ..low
+    };
+    let standard_twin = InstanceFamily {
+        id: FamilyId::HiCpu,
+        on_demand_rate: 0.05 + 0.1 * unit(seed),
+        ..standard
+    };
+    [
+        InstanceFamily::catalog(),
+        vec![InstanceFamily::hi_cpu(), low],
+        vec![low, low_twin, InstanceFamily::hi_cpu()],
+        vec![standard, standard_twin],
+    ]
+}
+
+/// The dispatcher's choice before the chooser existed: plan on every
+/// family, keep the plans that fit `free`, and take the cheapest; the
+/// first family wins a tie.
+fn reference_choice(
+    files: &[FileSpec],
+    base: &Fit,
+    catalog: &[InstanceFamily],
+    deadline: f64,
+    p_miss: f64,
+    free: usize,
+) -> Option<(InstanceFamily, Plan, f64)> {
+    catalog
+        .iter()
+        .filter_map(|fam| {
+            plan_on_family(files, base, fam, deadline, p_miss)
+                .ok()
+                .filter(|p| p.instance_count() <= free)
+                .map(|p| {
+                    let cost = expected_plan_cost(&p, fam.on_demand_rate);
+                    (*fam, p, cost)
+                })
+        })
+        .min_by(|a, b| a.2.total_cmp(&b.2))
+}
+
+/// Admission before it stopped planning: the verdict of the plan
+/// `make_plan` builds.
+fn reference_admit(job: &Job, fit: &Fit, p_miss: f64, capacity: usize) -> Admission {
+    if job.files.is_empty() {
+        return Admission::Rejected(RejectReason::EmptyJob);
+    }
+    let adjusted_deadline_secs = fit.adjusted_deadline(job.deadline_secs, p_miss);
+    match make_plan(
+        Strategy::AdjustedDeadline { p_miss },
+        &job.files,
+        fit,
+        job.deadline_secs,
+    ) {
+        Err(ProvisionError::NotInvertible { .. }) => {
+            Admission::Rejected(RejectReason::ModelNotInvertible {
+                adjusted_deadline_secs,
+            })
+        }
+        Err(ProvisionError::DeadlineBelowFixedCosts { .. }) => {
+            Admission::Rejected(RejectReason::DeadlineBelowFixedCosts {
+                adjusted_deadline_secs,
+            })
+        }
+        Ok(plan) if plan.instance_count() > capacity => {
+            Admission::Rejected(RejectReason::FleetTooLarge {
+                needed: plan.instance_count(),
+                capacity,
+            })
+        }
+        Ok(plan) => Admission::Accepted {
+            instances: plan.instance_count(),
+            adjusted_deadline_secs,
+        },
+    }
+}
+
+/// What one draw exercised.
+#[derive(Default)]
+struct Coverage {
+    zero_byte_files: usize,
+    fleets_above_files: usize,
+    nothing_fits: usize,
+    ties: usize,
+    accepted: usize,
+    too_large: usize,
+    below_fixed_costs: usize,
+}
+
+impl Coverage {
+    fn add(&mut self, other: Coverage) {
+        self.zero_byte_files += other.zero_byte_files;
+        self.fleets_above_files += other.fleets_above_files;
+        self.nothing_fits += other.nothing_fits;
+        self.ties += other.ties;
+        self.accepted += other.accepted;
+        self.too_large += other.too_large;
+        self.below_fixed_costs += other.below_fixed_costs;
+    }
+}
+
+/// Check the chooser and `admit` against their references on the draws
+/// of `seed`, for every model kind and catalog.
+fn chooser_and_admission_match(seed: u64) -> Coverage {
+    let files = lumpy_corpus(seed);
+    let d = deadline(seed ^ 1);
+    let p_miss = 0.01 + 0.3 * unit(seed ^ 4);
+    let free = 1 + (splitmix64(seed ^ 5) % 64) as usize;
+    let mut seen = Coverage {
+        zero_byte_files: usize::from(files.iter().any(|f| f.size == 0)),
+        ..Coverage::default()
+    };
+    let total: u64 = files.iter().map(|f| f.size).sum();
+    for kind in ModelKind::ALL {
+        let base = base_fit(kind, 0.005 + 0.04 * unit(seed ^ 2));
+        let what = format!(
+            "seed {seed}: {kind:?}, {} files, {d} s, free {free}",
+            files.len()
+        );
+        if Sizing::adjusted(total, &base, d, p_miss).is_ok_and(|s| s.fleet > files.len() as u64) {
+            seen.fleets_above_files += 1;
+        }
+        for catalog in catalogs(seed ^ 6) {
+            let want = reference_choice(&files, &base, &catalog, d, p_miss, free);
+            let got = cheapest_family_plan(&files, &base, &catalog, d, p_miss, free);
+            // Debug prints each float's shortest round-trip form, so equal
+            // strings mean equal bits.
+            assert_eq!(
+                format!("{:?}", got.as_ref().map(|(fam, plan)| (**fam, plan))),
+                format!("{:?}", want.as_ref().map(|(fam, plan, _)| (*fam, plan))),
+                "{what}: {:?}",
+                catalog.iter().map(|f| f.id).collect::<Vec<_>>()
+            );
+            match want {
+                None => seen.nothing_fits += 1,
+                Some((_, _, cost)) => {
+                    let cheapest = catalog
+                        .iter()
+                        .filter_map(|fam| {
+                            plan_on_family(&files, &base, fam, d, p_miss)
+                                .ok()
+                                .filter(|p| p.instance_count() <= free)
+                                .map(|p| expected_plan_cost(&p, fam.on_demand_rate))
+                        })
+                        .filter(|c| c.to_bits() == cost.to_bits())
+                        .count();
+                    if cheapest > 1 {
+                        seen.ties += 1;
+                    }
+                }
+            }
+        }
+        let job = Job {
+            id: seed,
+            tenant: TenantId(0),
+            app: AppKind::Grep,
+            files: files.clone(),
+            arrival_secs: 0.0,
+            deadline_secs: d,
+            priority: 0,
+        };
+        let want = reference_admit(&job, &base, p_miss, free);
+        let got = admit(&job, &base, p_miss, free);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        match want {
+            Admission::Accepted { .. } => seen.accepted += 1,
+            Admission::Rejected(RejectReason::FleetTooLarge { .. }) => seen.too_large += 1,
+            Admission::Rejected(RejectReason::DeadlineBelowFixedCosts { .. }) => {
+                seen.below_fixed_costs += 1
+            }
+            Admission::Rejected(_) => {}
+        }
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn the_chooser_and_admission_match_their_references(seed in any::<u64>()) {
+        chooser_and_admission_match(seed);
+    }
+}
+
+#[test]
+fn chooser_draws_cover_the_hard_cases() {
+    let mut seen = Coverage::default();
+    for seed in 0..48u64 {
+        seen.add(chooser_and_admission_match(seed));
+    }
+    for (case, count) in [
+        ("zero-byte files", seen.zero_byte_files),
+        ("a fleet above the file count", seen.fleets_above_files),
+        ("no family fitting", seen.nothing_fits),
+        ("a cost tie", seen.ties),
+        ("an accepted job", seen.accepted),
+        ("a fleet too large", seen.too_large),
+        ("a deadline below fixed costs", seen.below_fixed_costs),
+    ] {
+        assert!(count > 0, "no draw had {case}");
     }
 }

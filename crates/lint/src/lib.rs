@@ -262,7 +262,10 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Report> {
         let Some(ctx) = classify(&rel) else {
             continue;
         };
-        let source = std::fs::read_to_string(&path)?;
+        // rustc rejects a source that is not UTF-8, so this is an error, and
+        // it names the file, not just the root.
+        let source = std::fs::read_to_string(&path)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{rel}: {e}")))?;
         report.files_scanned += 1;
         let lines = tokens::line_view(&source);
         report.findings.extend(lint_lines(&ctx, &lines));
@@ -447,6 +450,23 @@ mod tests {
         assert!(lint_source(&lint_crate, src).is_empty());
         let binpack = lib_ctx("crates/binpack/src/x.rs");
         assert_eq!(lint_source(&binpack, src).len(), 1);
+    }
+
+    #[test]
+    fn an_unreadable_file_is_an_error_naming_it() {
+        let root = std::env::temp_dir().join(format!("reshape-lint-latin-{}", std::process::id()));
+        let src = root.join("crates/binpack/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(src.join("lib.rs"), "pub fn ok() {}\n").unwrap();
+        std::fs::write(src.join("latin.rs"), b"pub const S: &str = \"\xFF\xFE\";\n").unwrap();
+        let result = lint_tree(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let err = result.expect_err("a non-UTF-8 source must not lint");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().starts_with("crates/binpack/src/latin.rs: "),
+            "{err}"
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn tokens_tile_every_workspace_file_losslessly() {
     );
     for path in &files {
         let Ok(src) = std::fs::read_to_string(path) else {
-            continue; // non-UTF-8 file; the analyzer skips those too
+            continue; // not UTF-8, so no `&str` to tokenize; the analyzer fails on it
         };
         let rebuilt: String = lint::tokens::tokenize(&src)
             .iter()

@@ -51,9 +51,7 @@ use ec2sim::{
 use obs::Obs;
 use perfmodel::{try_fit, Fit, ModelKind};
 use serde::{Deserialize, Serialize};
-use textapps::aggregate::{
-    map_document_into, merge_partials, partial_bytes, partition_partial, render,
-};
+use textapps::aggregate::{merge_partials, partial_bytes, partition_partial, render, TermTable};
 use textapps::{AggKind, Partial, TokenizeCostModel};
 
 /// Everything a distributed aggregation needs beyond the compute plan.
@@ -269,19 +267,18 @@ impl From<CloudError> for ShuffleError {
 
 /// Every map bin's corpus-wide partial — a pure function of the corpus
 /// seed and the bin contents. One text generator serves the whole pass,
-/// and each file's terms are counted straight into its bin's partial;
+/// and each file's terms are counted into its bin's [`TermTable`];
 /// [`textapps::aggregate::oracle`] is the independent per-file reference.
 pub fn map_partials(kind: AggKind, corpus_seed: u64, bins: &[Vec<FileSpec>]) -> Vec<Partial> {
     let generator = TextGenerator::new(TextParams::default(), corpus_seed);
     bins.iter()
         .map(|bin| {
-            let mut partial = Partial::new();
+            let mut table = TermTable::new(kind);
             for file in bin {
                 let bytes = generator.file_text(file);
-                let text = String::from_utf8_lossy(&bytes);
-                map_document_into(kind, file.id, &text, &mut partial);
+                table.add_document(file.id, &String::from_utf8_lossy(&bytes));
             }
-            partial
+            table.into_partial()
         })
         .collect()
 }

@@ -17,7 +17,8 @@
 //! operators (sum for counts, min for first-seen file ids) are commutative
 //! and associative — so any grouping or ordering of the merges yields the
 //! same map, and the rendered reduce output is byte-identical however the
-//! work was split.
+//! work was split. The map pass counts in a [`TermTable`], whose slot
+//! order never reaches a partial: it drains into a sorted one.
 
 use crate::pos::{sentences, tokenize};
 use serde::{Deserialize, Serialize};
@@ -46,41 +47,30 @@ impl AggKind {
 /// A keyed partial result: term → value (count or first-seen file id).
 pub type Partial = BTreeMap<String, u64>;
 
-/// Tokenize one document and emit its keyed partial.
-pub fn map_document(kind: AggKind, file_id: u64, text: &str) -> Partial {
-    let mut out = Partial::new();
-    map_document_into(kind, file_id, text, &mut out);
-    out
-}
-
-/// Tokenize one document and merge its terms straight into `acc` — the
-/// same map as [`map_document`] followed by [`merge_partials`], without
-/// the per-document map. A term already in `acc` is found by `&str`, so
-/// only new terms keep their token's allocation.
-pub fn map_document_into(kind: AggKind, file_id: u64, text: &str, acc: &mut Partial) {
-    let value = match kind {
+/// The value one occurrence of a term in file `file_id` contributes.
+fn occurrence(kind: AggKind, file_id: u64) -> u64 {
+    match kind {
         AggKind::TermCount => 1,
         AggKind::Dedup => file_id,
-    };
+    }
+}
+
+/// Tokenize one document sentence by sentence and emit its keyed partial.
+/// This is the plain reference path [`oracle`] takes; the map pass counts
+/// through a [`TermTable`] instead.
+pub fn map_document(kind: AggKind, file_id: u64, text: &str) -> Partial {
+    let value = occurrence(kind, file_id);
+    let mut out = Partial::new();
     for sentence in sentences(text) {
         for token in tokenize(sentence) {
-            if token.is_punct {
-                continue;
-            }
-            let mut term = token.text;
-            if term.is_ascii() {
-                term.make_ascii_lowercase();
-            } else {
-                term = term.to_lowercase();
-            }
-            match acc.get_mut(term.as_str()) {
-                Some(v) => merge_value(kind, v, value),
-                None => {
-                    acc.insert(term, value);
-                }
+            if !token.is_punct {
+                out.entry(token.text.to_lowercase())
+                    .and_modify(|v| merge_value(kind, v, value))
+                    .or_insert(value);
             }
         }
     }
+    out
 }
 
 /// Fold `value` into `acc` with the kind's commutative operator.
@@ -88,6 +78,112 @@ fn merge_value(kind: AggKind, acc: &mut u64, value: u64) {
     match kind {
         AggKind::TermCount => *acc += value,
         AggKind::Dedup => *acc = (*acc).min(value),
+    }
+}
+
+/// Slots a new [`TermTable`] starts with; a power of two.
+const INITIAL_SLOTS: usize = 1 << 10;
+
+/// One map bin's terms while they are counted: an open-addressed table
+/// with linear probing, keyed by FNV-1a of the lowercased term. Each
+/// document is tokenized whole, a term's text is allocated only the first
+/// time the bin sees it, and [`TermTable::into_partial`] drains the bin
+/// once into the sorted [`Partial`]. Adding documents in any order gives
+/// the same partial as merging their [`map_document`]s.
+#[derive(Debug)]
+pub struct TermTable {
+    kind: AggKind,
+    /// Index + 1 into `terms` per slot, 0 when empty; at most half full.
+    slots: Vec<usize>,
+    /// Each distinct term with its hash and value, in first-seen order.
+    terms: Vec<(u64, String, u64)>,
+    /// The one buffer tokens that need lowercasing are lowercased into.
+    lower: String,
+}
+
+impl TermTable {
+    /// An empty table for `kind`.
+    pub fn new(kind: AggKind) -> Self {
+        TermTable {
+            kind,
+            slots: vec![0; INITIAL_SLOTS],
+            terms: Vec::new(),
+            lower: String::new(),
+        }
+    }
+
+    /// Count every word of document `file_id` into the table.
+    pub fn add_document(&mut self, file_id: u64, text: &str) {
+        let value = occurrence(self.kind, file_id);
+        let mut lower = std::mem::take(&mut self.lower);
+        for token in tokenize(text) {
+            if token.is_punct {
+                continue;
+            }
+            let term = token.text;
+            if !term
+                .bytes()
+                .any(|b| b.is_ascii_uppercase() || !b.is_ascii())
+            {
+                self.add(term, value);
+                continue;
+            }
+            lower.clear();
+            if term.is_ascii() {
+                lower.push_str(term);
+                lower.make_ascii_lowercase();
+            } else {
+                // Whole-string lowercasing, so a final capital sigma
+                // becomes 'ς' as it does in `map_document`.
+                lower.push_str(&term.to_lowercase());
+            }
+            self.add(&lower, value);
+        }
+        self.lower = lower;
+    }
+
+    /// Fold one occurrence of the lowercased `term` into the table.
+    fn add(&mut self, term: &str, value: u64) {
+        let hash = corpus::hash::fnv1a(term.as_bytes());
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(hash);
+        while let Some(i) = self.slots[at].checked_sub(1) {
+            let (h, t, v) = &mut self.terms[i];
+            if *h == hash && t == term {
+                merge_value(self.kind, v, value);
+                return;
+            }
+            at = (at + 1) & mask;
+        }
+        self.terms.push((hash, term.to_owned(), value));
+        self.slots[at] = self.terms.len();
+        if 2 * self.terms.len() > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    /// The slot a hash probes first: its top bits, which FNV-1a's final
+    /// multiply mixes from every byte.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Double the slots and re-place every term by its stored hash.
+    fn grow(&mut self) {
+        self.slots = vec![0; 2 * self.slots.len()];
+        let mask = self.slots.len() - 1;
+        for (i, &(hash, _, _)) in self.terms.iter().enumerate() {
+            let mut at = self.home(hash);
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = i + 1;
+        }
+    }
+
+    /// The bin's partial, sorted by term.
+    pub fn into_partial(self) -> Partial {
+        self.terms.into_iter().map(|(_, t, v)| (t, v)).collect()
     }
 }
 
@@ -224,13 +320,73 @@ mod tests {
                 merge_partials(kind, &mut expected, &map_document(kind, *id, text));
             }
             for order in [&forward, &reversed, &interleaved] {
-                let mut acc = Partial::new();
+                let mut table = TermTable::new(kind);
                 for &i in order {
-                    map_document_into(kind, docs[i].0, &docs[i].1, &mut acc);
+                    table.add_document(docs[i].0, &docs[i].1);
                 }
-                assert_eq!(acc, expected, "{kind:?} in order {order:?}");
+                assert_eq!(
+                    table.into_partial(),
+                    expected,
+                    "{kind:?} in order {order:?}"
+                );
             }
         }
+    }
+
+    /// A seeded document of `words` words, each one to four pieces long,
+    /// over mixed-case ASCII and capitals whose lowercase changes length
+    /// ("İ" → "i̇", "ẞ" → "ß") or context ("ΟΔΟΣ" → "οδος").
+    fn mixed_document(seed: u64, words: usize) -> String {
+        use rand::{Rng, SeedableRng};
+        const PIECES: &[&str] = &[
+            "ka", "Ti", "RO", "mEn", "ΟΔΟΣ", "İ", "ẞ", "é", "Σ", "q", "x7", "don't", "-",
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut out = String::new();
+        for w in 0..words {
+            if w > 0 {
+                out.push_str([" ", ", ", ". ", "! "][rng.random_range(0..4usize)]);
+            }
+            for _ in 0..rng.random_range(1..=4usize) {
+                out.push_str(PIECES[rng.random_range(0..PIECES.len())]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_term_table_matches_the_reference_past_growth_and_collisions() {
+        let docs: Vec<(u64, String)> = (0..300u64)
+            .map(|seed| (seed % 37, mixed_document(seed, 200)))
+            .collect();
+        for kind in [AggKind::TermCount, AggKind::Dedup] {
+            let mut expected = Partial::new();
+            let mut table = TermTable::new(kind);
+            for (id, text) in &docs {
+                merge_partials(kind, &mut expected, &map_document(kind, *id, text));
+                table.add_document(*id, text);
+            }
+            assert!(expected.len() > 10_000, "{} distinct terms", expected.len());
+            assert!(
+                table.slots.len() >= INITIAL_SLOTS << 4,
+                "grew to {}",
+                table.slots.len()
+            );
+            let displaced = table
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|&(at, &i)| i != 0 && table.home(table.terms[i - 1].0) != at)
+                .count();
+            assert!(displaced > 100, "{displaced} terms probed past a collision");
+            assert_eq!(table.into_partial(), expected, "{kind:?}");
+        }
+        let mut table = TermTable::new(AggKind::TermCount);
+        table.add_document(0, "ΟΔΟΣ İ ẞ οδος");
+        let p = table.into_partial();
+        assert_eq!(p["οδος"], 2, "{p:?}");
+        assert_eq!(p["i\u{307}"], 1, "{p:?}");
+        assert_eq!(p["ß"], 1, "{p:?}");
     }
 
     #[test]

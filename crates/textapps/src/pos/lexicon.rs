@@ -79,7 +79,7 @@ impl Lexicon {
     }
 
     /// Log-probability vector over tags for a token.
-    pub fn emission_logprobs(&self, token: &Token) -> [f64; N_TAGS] {
+    pub fn emission_logprobs(&self, token: &Token<'_>) -> [f64; N_TAGS] {
         if token.is_punct {
             return logp(&[(Tag::Punct, 1.0)]);
         }
@@ -113,7 +113,7 @@ impl Lexicon {
             | "brown" | "red" | "long" | "short" | "high" | "low" => {
                 logp(&[(Tag::Jj, 0.90), (Tag::Nn, 0.10)])
             }
-            _ => suffix_guess(&token.text),
+            _ => suffix_guess(token.text),
         }
     }
 }
@@ -122,9 +122,9 @@ impl Lexicon {
 mod tests {
     use super::*;
 
-    fn word(s: &str) -> Token {
+    fn word(s: &str) -> Token<'_> {
         Token {
-            text: s.to_string(),
+            text: s,
             is_punct: false,
         }
     }
@@ -153,7 +153,7 @@ mod tests {
     fn punct_token_always_punct() {
         let lex = Lexicon::builtin();
         let t = Token {
-            text: ".".to_string(),
+            text: ".",
             is_punct: true,
         };
         assert_eq!(best(lex.emission_logprobs(&t)), Tag::Punct);
@@ -184,7 +184,7 @@ mod tests {
         let lex = Lexicon::builtin();
         for w in ["the", "zzzz", "42", ".", "running"] {
             let t = Token {
-                text: w.to_string(),
+                text: w,
                 is_punct: w == ".",
             };
             let v = lex.emission_logprobs(&t);

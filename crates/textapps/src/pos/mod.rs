@@ -112,7 +112,7 @@ impl PosTagger {
     }
 
     /// Tag a single sentence's tokens.
-    pub fn tag_tokens(&self, tokens: &[Token]) -> Vec<TaggedWord> {
+    pub fn tag_tokens(&self, tokens: &[Token<'_>]) -> Vec<TaggedWord> {
         if tokens.is_empty() {
             return Vec::new();
         }
@@ -125,7 +125,7 @@ impl PosTagger {
             .iter()
             .zip(path)
             .map(|(t, state)| TaggedWord {
-                word: t.text.clone(),
+                word: t.text.to_owned(),
                 tag: Tag::ALL[state],
             })
             .collect()
@@ -136,7 +136,7 @@ impl PosTagger {
     pub fn tag_text(&self, text: &str) -> Vec<Vec<TaggedWord>> {
         sentences(text)
             .into_iter()
-            .map(|s| self.tag_tokens(&tokenize(s)))
+            .map(|s| self.tag_tokens(&tokenize(s).collect::<Vec<_>>()))
             .collect()
     }
 

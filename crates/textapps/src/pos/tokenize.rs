@@ -1,18 +1,20 @@
 //! Sentence splitting and tokenization.
 
-use serde::{Deserialize, Serialize};
-
-/// A token: a word, number or punctuation mark.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Token {
+/// A token: a word, number or punctuation mark, borrowed from the text it
+/// was cut from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// Surface text.
-    pub text: String,
+    pub text: &'a str,
     /// True when the token is punctuation.
     pub is_punct: bool,
 }
 
-/// Split `text` into sentences on `.`, `!`, `?` followed by whitespace or
-/// end of input. The terminator stays with its sentence.
+/// Split `text` into sentences on `.`, `!`, `?` followed by ASCII
+/// whitespace (space, tab, line feed, form feed or carriage return) or end
+/// of input. The terminator stays with its sentence. A terminator followed
+/// by any other whitespace, such as a no-break space or a vertical tab,
+/// does not end one.
 pub fn sentences(text: &str) -> Vec<&str> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
@@ -40,47 +42,74 @@ pub fn sentences(text: &str) -> Vec<&str> {
     out
 }
 
-/// Tokenize one sentence: maximal runs of alphanumerics (plus internal
-/// apostrophes/hyphens) become word tokens; every other non-whitespace byte
-/// becomes a single-character punctuation token.
-pub fn tokenize(sentence: &str) -> Vec<Token> {
-    let mut out = Vec::new();
-    let mut word = String::new();
-    let flush = |word: &mut String, out: &mut Vec<Token>| {
-        if !word.is_empty() {
-            out.push(Token {
-                text: std::mem::take(word),
-                is_punct: false,
-            });
+/// Tokenize `text`: maximal runs of alphanumerics (plus internal
+/// apostrophes/hyphens) become word tokens; every other non-whitespace
+/// character becomes a single-character punctuation token.
+///
+/// Tokens are slices of `text`. No token spans a sentence boundary (one
+/// ends at a terminator, and no token holds one), so tokenizing a whole
+/// document yields the tokens of its [`sentences`] in order.
+pub fn tokenize(text: &str) -> impl Iterator<Item = Token<'_>> {
+    let mut at = 0;
+    std::iter::from_fn(move || loop {
+        let start = at;
+        let (c, len) = char_at(text, start)?;
+        at += len;
+        if c.is_whitespace() {
+            continue;
         }
-    };
-    let chars: Vec<char> = sentence.chars().collect();
-    for (i, &c) in chars.iter().enumerate() {
-        let joins_word = (c == '\'' || c == '-')
-            && !word.is_empty()
-            && chars.get(i + 1).is_some_and(|n| n.is_alphanumeric());
-        if c.is_alphanumeric() || joins_word {
-            word.push(c);
-        } else if c.is_whitespace() {
-            flush(&mut word, &mut out);
-        } else {
-            flush(&mut word, &mut out);
-            out.push(Token {
-                text: c.to_string(),
-                is_punct: true,
-            });
+        let is_punct = !c.is_alphanumeric();
+        if !is_punct {
+            at = word_end(text, at);
         }
+        return Some(Token {
+            text: &text[start..at],
+            is_punct,
+        });
+    })
+}
+
+/// The character at byte `at` of `text` and its length in bytes, read as
+/// one byte when it is ASCII.
+fn char_at(text: &str, at: usize) -> Option<(char, usize)> {
+    let b = *text.as_bytes().get(at)?;
+    if b.is_ascii() {
+        return Some((char::from(b), 1));
     }
-    flush(&mut word, &mut out);
-    out
+    let c = text.get(at..)?.chars().next()?;
+    Some((c, c.len_utf8()))
+}
+
+/// Where the word whose next unread byte is `at` ends: it takes
+/// alphanumerics, and an apostrophe or hyphen that an alphanumeric follows.
+fn word_end(text: &str, mut at: usize) -> usize {
+    let bytes = text.as_bytes();
+    loop {
+        while bytes.get(at).is_some_and(u8::is_ascii_alphanumeric) {
+            at += 1;
+        }
+        let Some((c, len)) = char_at(text, at) else {
+            return at;
+        };
+        let joins_word = (c == '\'' || c == '-')
+            && char_at(text, at + len).is_some_and(|(next, _)| next.is_alphanumeric());
+        if !(c.is_alphanumeric() || joins_word) {
+            return at;
+        }
+        at += len;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn words(tokens: &[Token]) -> Vec<&str> {
-        tokens.iter().map(|t| t.text.as_str()).collect()
+    fn tokens(text: &str) -> Vec<Token<'_>> {
+        tokenize(text).collect()
+    }
+
+    fn words<'a>(tokens: &[Token<'a>]) -> Vec<&'a str> {
+        tokens.iter().map(|t| t.text).collect()
     }
 
     #[test]
@@ -99,6 +128,14 @@ mod tests {
     }
 
     #[test]
+    fn only_ascii_whitespace_after_a_terminator_ends_a_sentence() {
+        assert_eq!(sentences("Stop.\u{a0}Go."), vec!["Stop.\u{a0}Go."]);
+        assert_eq!(sentences("Stop.\u{2003}Go."), vec!["Stop.\u{2003}Go."]);
+        assert_eq!(sentences("Stop.\u{b}Go."), vec!["Stop.\u{b}Go."]);
+        assert_eq!(sentences("Stop.\r\nGo."), vec!["Stop.", "Go."]);
+    }
+
+    #[test]
     fn empty_and_whitespace_inputs() {
         assert!(sentences("").is_empty());
         assert!(sentences("   \n\t ").is_empty());
@@ -106,7 +143,7 @@ mod tests {
 
     #[test]
     fn tokenizes_words_and_punct() {
-        let t = tokenize("The cat, on a mat.");
+        let t = tokens("The cat, on a mat.");
         assert_eq!(words(&t), vec!["The", "cat", ",", "on", "a", "mat", "."]);
         assert!(t[2].is_punct);
         assert!(!t[0].is_punct);
@@ -114,19 +151,19 @@ mod tests {
 
     #[test]
     fn keeps_internal_apostrophes_and_hyphens() {
-        let t = tokenize("don't well-known rock'n'roll");
+        let t = tokens("don't well-known rock'n'roll");
         assert_eq!(words(&t), vec!["don't", "well-known", "rock'n'roll"]);
     }
 
     #[test]
     fn trailing_apostrophe_is_punct() {
-        let t = tokenize("dogs' bone");
+        let t = tokens("dogs' bone");
         assert_eq!(words(&t), vec!["dogs", "'", "bone"]);
     }
 
     #[test]
     fn numbers_are_word_tokens() {
-        let t = tokenize("42 apples");
+        let t = tokens("42 apples");
         assert_eq!(words(&t), vec!["42", "apples"]);
         assert!(!t[0].is_punct);
     }

@@ -116,7 +116,7 @@ impl TextGenerator {
     /// Generate exactly `bytes` of text (sentences separated by spaces,
     /// the last one cut at the byte budget). Words are drawn only until the
     /// budget is reached, so any `complexity` finishes in `O(bytes)`.
-    pub fn text(&self, rng: &mut impl Rng, complexity: f64, bytes: usize) -> Vec<u8> {
+    pub fn text(&self, rng: &mut impl Rng, complexity: f64, bytes: usize) -> String {
         let mut out = String::with_capacity(bytes + 64);
         while out.len() < bytes {
             if !out.is_empty() {
@@ -124,16 +124,15 @@ impl TextGenerator {
             }
             self.push_sentence(rng, complexity, &mut out, bytes);
         }
-        // Cut the bytes, not the string: the vocabulary is ASCII, so no
-        // character is split.
-        let mut out = out.into_bytes();
+        // The vocabulary is ASCII, so every byte offset is a character
+        // boundary.
         out.truncate(bytes);
         out
     }
 
-    /// The plain-text bytes of `file`: exactly `file.size` bytes, unique
-    /// per (generator seed, file id).
-    pub fn file_text(&self, file: &FileSpec) -> Vec<u8> {
+    /// The plain text of `file`: exactly `file.size` bytes, unique per
+    /// (generator seed, file id).
+    pub fn file_text(&self, file: &FileSpec) -> String {
         self.text(
             &mut self.file_rng(file),
             file.complexity,
@@ -169,7 +168,8 @@ impl TextGenerator {
 /// Builds the generator for one file; to materialize many files, build one
 /// [`TextGenerator`] and call [`TextGenerator::file_text`].
 pub fn text_bytes(seed: u64, file: &FileSpec) -> Vec<u8> {
-    TextGenerator::new(TextParams::default(), seed).file_text(file)
+    let text = TextGenerator::new(TextParams::default(), seed).file_text(file);
+    text.into_bytes()
 }
 
 /// Materialize HTML bytes: the text wrapped in a minimal article skeleton,
@@ -186,11 +186,8 @@ pub fn html_bytes(seed: u64, file: &FileSpec) -> Vec<u8> {
     }
     let body = size - HEAD.len() - TAIL.len();
     let generator = TextGenerator::new(TextParams::default(), seed);
-    let mut out = Vec::with_capacity(size);
-    out.extend_from_slice(HEAD);
-    out.extend_from_slice(&generator.text(&mut generator.file_rng(file), file.complexity, body));
-    out.extend_from_slice(TAIL);
-    out
+    let text = generator.text(&mut generator.file_rng(file), file.complexity, body);
+    [HEAD, text.as_bytes(), TAIL].concat()
 }
 
 #[cfg(test)]
@@ -267,7 +264,7 @@ mod tests {
                 };
                 assert_eq!(
                     text_bytes(seed, &f),
-                    generator.file_text(&f),
+                    generator.file_text(&f).into_bytes(),
                     "seed {seed} id {id}"
                 );
             }
@@ -304,7 +301,9 @@ mod tests {
         for complexity in [0.5f64, 1.0, 1.6, 50.0] {
             for bytes in [0, 1, 99, 5_000] {
                 let seed = bytes as u64 ^ complexity.to_bits();
-                let fast = generator.text(&mut StdRng::seed_from_u64(seed), complexity, bytes);
+                let fast = generator
+                    .text(&mut StdRng::seed_from_u64(seed), complexity, bytes)
+                    .into_bytes();
                 let slow = whole_sentences(
                     &generator,
                     &mut StdRng::seed_from_u64(seed),

@@ -22,9 +22,7 @@
 //! * **bonnie++-style screening** — the paper's §4 procedure: measure an
 //!   instance's block I/O, keep it only if stable and >60 MB/s;
 //! * **measurement noise** — relative noise grows as runs get shorter,
-//!   which is what makes the paper discard its 1 MB probe (Fig 3);
-//! * **spot market** (future-work extension) — a mean-reverting price
-//!   series with bid-based interruption.
+//!   which is what makes the paper discard its 1 MB probe (Fig 3).
 //!
 //! Everything is seeded: the same seed yields the same fleet, the same
 //! placement spikes and the same noise, so every figure regenerates
@@ -43,7 +41,6 @@ mod netxfer;
 mod noise;
 mod numeric;
 mod retrieval;
-mod spot;
 mod storage;
 mod transfer;
 mod types;
@@ -64,7 +61,6 @@ pub use netxfer::{
 pub use noise::NoiseModel;
 pub use numeric::robust_ceil;
 pub use retrieval::RetrievalModel;
-pub use spot::{SpotMarket, SpotOutcome, SpotRequest};
 pub use storage::{EbsVolume, ObjectStore, VolumeId};
 pub use transfer::{TransferKind, TransferPricing};
 pub use types::{AvailabilityZone, InstanceType, Region};

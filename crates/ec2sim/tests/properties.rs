@@ -1,10 +1,7 @@
 //! Property-based tests for the cloud substrate: billing laws, placement
-//! arithmetic, noise statistics, spot accounting.
+//! arithmetic, noise statistics.
 
-use ec2sim::{
-    billed_hours, Cloud, CloudConfig, EbsVolume, InstanceType, NoiseModel, SpotMarket, SpotRequest,
-    VolumeId,
-};
+use ec2sim::{billed_hours, Cloud, CloudConfig, EbsVolume, InstanceType, NoiseModel, VolumeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,60 +81,6 @@ proptest! {
         let sum: f64 = cloud.ledger().bills().iter().map(|b| b.cost).sum();
         prop_assert!((total - sum).abs() < 1e-9);
         prop_assert_eq!(cloud.ledger().bills().len(), n);
-    }
-
-    #[test]
-    fn spot_cost_never_exceeds_active_time_at_bid(
-        seed in 0u64..100,
-        bid_cents in 1u64..20,
-        work_hours in 1u64..30,
-    ) {
-        let market = SpotMarket::generate(seed, 400, 0.04, 0.004, 300.0);
-        let req = SpotRequest {
-            bid: bid_cents as f64 / 100.0,
-            work_secs: work_hours as f64 * 3600.0,
-            resume_penalty_secs: 60.0,
-        };
-        let out = market.execute(&req);
-        prop_assert!(out.work_done <= req.work_secs + 1e-6);
-        // Every active second was paid at most the bid.
-        let max_active_secs = out.work_done + 400.0 * 60.0; // work + penalties
-        prop_assert!(out.cost <= req.bid * max_active_secs / 3600.0 + 1e-9);
-        if let Some(t) = out.completed_at {
-            prop_assert!(t + 1e-6 >= req.work_secs);
-        }
-    }
-
-    #[test]
-    fn preempted_bid_never_bills_beyond_the_flat_hour_rule(
-        seed in 0u64..200,
-        bid_frac in 1u64..30,
-        work_hours in 1u64..20,
-        penalty in 0u64..240,
-    ) {
-        // A marginal bid near the market mean gets preempted repeatedly;
-        // whatever happens, the dollars charged never exceed the paper's
-        // flat r·⌈hours⌉ rule applied to the bid and the active seconds —
-        // a preemption can never bill a partial hour beyond it.
-        let market = SpotMarket::generate(seed, 300, 0.04, 0.006, 300.0);
-        let req = SpotRequest {
-            bid: 0.04 * bid_frac as f64 / 20.0,
-            work_secs: work_hours as f64 * 3600.0,
-            resume_penalty_secs: penalty as f64,
-        };
-        let out = market.execute(&req);
-        prop_assert!(out.active_secs >= out.work_done - 1e-6);
-        prop_assert!(
-            out.cost <= req.bid * billed_hours(out.active_secs) as f64 + 1e-9,
-            "cost {} exceeds flat rule {} × {}",
-            out.cost,
-            req.bid,
-            billed_hours(out.active_secs)
-        );
-        // An execution that never became active is free.
-        if out.active_secs <= 0.0 {
-            prop_assert!(out.cost <= 0.0);
-        }
     }
 
     #[test]

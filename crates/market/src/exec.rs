@@ -10,7 +10,7 @@
 //! after a crossing take ordinals beyond the planned range, which models
 //! re-entering the market once the price falls back under the bid.
 
-use ec2sim::{Cloud, FaultPlan};
+use ec2sim::{Cloud, FaultEvent, FaultKind, FaultPlan};
 use obs::Obs;
 use provision::{
     execute_plan_resilient_sourced, DegradedReport, ExecutionConfig, FreshFleet, RetryPolicy,
@@ -19,12 +19,12 @@ use serde::Serialize;
 use textapps::AppCostModel;
 
 use crate::planner::{MarketConfig, PortfolioPlan, Tier};
-use crate::spot::reclaim_plan;
 
 /// Build the scripted [`FaultPlan`] a portfolio's spot lines imply: for
 /// each spot line, every step where the family's price path crosses above
-/// the bid reclaims the line's entire ordinal range at that instant.
-/// On-demand lines contribute nothing (their ordinals are never
+/// the bid reclaims the line's entire ordinal range at that instant (the
+/// cloud keeps each ordinal's earliest death, so later crossings are
+/// safe). On-demand lines contribute nothing (their ordinals are never
 /// targeted). Pass the result to [`Cloud::with_faults`] before calling
 /// [`execute_portfolio`] on the same plan.
 pub fn reclaim_fault_plan(pplan: &PortfolioPlan, cfg: &MarketConfig) -> FaultPlan {
@@ -34,12 +34,18 @@ pub fn reclaim_fault_plan(pplan: &PortfolioPlan, cfg: &MarketConfig) -> FaultPla
         let count = line.plan.instance_count() as u64;
         if let Tier::Spot { bid } = line.tier {
             let path = cfg.path_for(&line.family, pplan.deadline_secs);
-            let ordinals: Vec<u64> = (base..base + count).collect();
-            events.extend(path.reclaim_events(bid, 0.0, path.horizon_secs(), &ordinals));
+            for at in path.window(bid, 0.0, path.horizon_secs()).reclaims {
+                events.extend((base..base + count).map(|ord| FaultEvent {
+                    at,
+                    instance: Some(ord),
+                    volume: None,
+                    kind: FaultKind::SpotPreemption,
+                }));
+            }
         }
         base += count;
     }
-    reclaim_plan(events)
+    FaultPlan::scripted(events)
 }
 
 /// Fleet-level outcome of a portfolio execution, aggregated across lines.
@@ -208,6 +214,14 @@ mod tests {
                 (od_count..total).contains(&ord),
                 "ordinal {ord} outside spot range {od_count}..{total}"
             );
+        }
+        // Every crossing reclaims the whole spot range at one instant.
+        let spot: Vec<u64> = (od_count..total).collect();
+        assert!(!faults.events.is_empty());
+        for crossing in faults.events.chunks(spot.len()) {
+            let ords: Vec<u64> = crossing.iter().filter_map(|e| e.instance).collect();
+            assert_eq!(ords, spot);
+            assert!(crossing.iter().all(|e| e.at == crossing[0].at));
         }
     }
 

@@ -17,9 +17,10 @@
 //!   cheapest on-demand family whose fleet fits the free pool, with only
 //!   the winner's plan built.
 //! * [`SpotPath`] is a seeded, counter-hashed mean-reverting price
-//!   process per family: same seed ⇒ byte-identical path. Bids convert a
-//!   path into eligible work time, an expected rate, and correlated
-//!   whole-family reclaim instants.
+//!   process per family: same seed ⇒ byte-identical path. It is the only
+//!   spot model. [`SpotPath::window`] answers what a bid buys in one pass:
+//!   a [`BidWindow`] of eligible work time, correlated whole-family
+//!   reclaim instants and the expected rate.
 //! * [`plan_market`] quotes every (family, tier) pair by inverting the
 //!   family-scaled model under the residual-adjusted deadline, and picks
 //!   the cheapest feasible fleet under the chosen [`MarketStrategy`] —
@@ -47,4 +48,4 @@ pub use planner::{
     plan_market_observed, plan_on_family, FamilyQuote, FleetLine, MarketConfig, MarketReject,
     MarketStrategy, PortfolioPlan, Tier,
 };
-pub use spot::{reclaim_plan, SpotPath, SPOT_STEP_SECS};
+pub use spot::{BidWindow, SpotPath, SPOT_STEP_SECS};

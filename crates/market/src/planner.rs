@@ -558,12 +558,13 @@ pub fn plan_market_observed(
 
         // --- Spot tier. ---
         if want_spot {
-            let path = cfg.path_for(family, deadline_secs);
             let bid = cfg.bid_for(family);
-            let eligible = path.eligible_secs(bid, 0.0, deadline_secs);
-            let crossings = path.reclaim_times(bid, 0.0, deadline_secs).len();
-            let effective = eligible - crossings as f64 * cfg.resume_penalty_secs;
-            let rate = path.mean_eligible_price(bid, 0.0, deadline_secs);
+            let window = cfg
+                .path_for(family, deadline_secs)
+                .window(bid, 0.0, deadline_secs);
+            let effective =
+                window.eligible_secs - window.reclaims.len() as f64 * cfg.resume_penalty_secs;
+            let rate = window.mean_price;
             let outcome = if effective <= 0.0 {
                 Err(ProvisionError::DeadlineBelowFixedCosts {
                     deadline_secs: effective.max(0.0),

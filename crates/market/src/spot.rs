@@ -10,7 +10,7 @@
 //! never perturbs the rest.
 
 use corpus::hash::{fnv1a, splitmix64};
-use ec2sim::{FamilyId, FaultEvent, FaultKind, FaultPlan, InstanceFamily};
+use ec2sim::{FamilyId, InstanceFamily};
 use serde::Serialize;
 
 /// Default price-path resolution, seconds per step (5 simulated minutes).
@@ -52,6 +52,23 @@ pub struct SpotPath {
     prices: Vec<f64>,
 }
 
+/// What one bid buys inside one window of a [`SpotPath`]: the planner's
+/// one question of the spot market.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BidWindow {
+    /// Seconds inside the window during which the price is at or below the
+    /// bid — the time a spot instance bid at that level actually works.
+    pub eligible_secs: f64,
+    /// Step-start times inside the window where the price crosses **above**
+    /// the bid — the instants the market reclaims every spot instance of
+    /// the family bid at that level (the correlated whole-family event).
+    pub reclaims: Vec<f64>,
+    /// Time-weighted mean of the eligible prices — the expected dollars per
+    /// hour a bid-capped spot instance pays; the bid itself when no step
+    /// is eligible.
+    pub mean_price: f64,
+}
+
 impl SpotPath {
     /// Generate `steps` prices. The per-family base key folds the family
     /// label into the seed, so every family sees an independent market
@@ -87,108 +104,42 @@ impl SpotPath {
         &self.prices
     }
 
-    /// Steps in the path.
-    pub fn len(&self) -> usize {
-        self.prices.len()
-    }
-
-    /// True when the path has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.prices.is_empty()
-    }
-
     /// Simulated seconds the path covers.
     pub fn horizon_secs(&self) -> f64 {
         self.prices.len() as f64 * self.step_secs
     }
 
-    /// Price at simulated time `t` (clamped to the path ends; the mean
-    /// for an empty path).
-    pub fn price_at(&self, t: f64) -> f64 {
-        if self.prices.is_empty() {
-            return self.mean_rate;
-        }
-        let idx = (t / self.step_secs).floor().max(0.0) as usize;
-        self.prices[idx.min(self.prices.len() - 1)]
-    }
-
-    /// Seconds inside `[t0, t1]` during which the price is at or below
-    /// `bid` — the time a spot instance bid at that level actually works.
-    pub fn eligible_secs(&self, bid: f64, t0: f64, t1: f64) -> f64 {
-        let mut total = 0.0;
-        for (k, &p) in self.prices.iter().enumerate() {
-            let s = k as f64 * self.step_secs;
-            let e = s + self.step_secs;
-            let overlap = (e.min(t1) - s.max(t0)).max(0.0);
-            if overlap > 0.0 && p <= bid {
-                total += overlap;
-            }
-        }
-        total
-    }
-
-    /// Time-weighted mean of the eligible prices in `[t0, t1]` — the
-    /// expected dollars per hour a bid-capped spot instance pays. Falls
-    /// back to the bid itself when no step is eligible.
-    pub fn mean_eligible_price(&self, bid: f64, t0: f64, t1: f64) -> f64 {
-        let (mut weighted, mut secs) = (0.0, 0.0);
-        for (k, &p) in self.prices.iter().enumerate() {
-            let s = k as f64 * self.step_secs;
-            let e = s + self.step_secs;
-            let overlap = (e.min(t1) - s.max(t0)).max(0.0);
-            if overlap > 0.0 && p <= bid {
-                weighted += p * overlap;
-                secs += overlap;
-            }
-        }
-        if secs > 0.0 {
-            weighted / secs
-        } else {
-            bid
-        }
-    }
-
-    /// Step-start times in `[t0, t1]` where the price crosses **above**
-    /// `bid` — the instants the market reclaims every spot instance of
-    /// this family bid at that level (the correlated whole-family event).
-    pub fn reclaim_times(&self, bid: f64, t0: f64, t1: f64) -> Vec<f64> {
-        let mut out = Vec::new();
+    /// What `bid` buys inside `[t0, t1]`, read in one pass over the path:
+    /// the eligible seconds, the reclaim instants and the mean price paid.
+    pub fn window(&self, bid: f64, t0: f64, t1: f64) -> BidWindow {
+        let (mut eligible_secs, mut weighted) = (0.0, 0.0);
+        let mut reclaims = Vec::new();
         let mut prev_ok = true; // paths start at the mean; a bid below the mean crosses at step 0
         for (k, &p) in self.prices.iter().enumerate() {
             let s = k as f64 * self.step_secs;
+            let e = s + self.step_secs;
+            let overlap = (e.min(t1) - s.max(t0)).max(0.0);
             let ok = p <= bid;
+            if overlap > 0.0 && ok {
+                eligible_secs += overlap;
+                weighted += p * overlap;
+            }
             if prev_ok && !ok && s >= t0 && s <= t1 {
-                out.push(s);
+                reclaims.push(s);
             }
             prev_ok = ok;
         }
-        out
-    }
-
-    /// Scripted [`FaultEvent`]s reclaiming the given instance ordinals at
-    /// every bid crossing in `[t0, t1]`: all ordinals die at the same
-    /// simulated instant, which is exactly the correlated whole-family
-    /// reclaim the chaos harness calibrates against. (`FaultState` keeps
-    /// the earliest death per ordinal, so multiple crossings are safe.)
-    pub fn reclaim_events(&self, bid: f64, t0: f64, t1: f64, ordinals: &[u64]) -> Vec<FaultEvent> {
-        let mut events = Vec::new();
-        for at in self.reclaim_times(bid, t0, t1) {
-            for &ord in ordinals {
-                events.push(FaultEvent {
-                    at,
-                    instance: Some(ord),
-                    volume: None,
-                    kind: FaultKind::SpotPreemption,
-                });
-            }
+        let mean_price = if eligible_secs > 0.0 {
+            weighted / eligible_secs
+        } else {
+            bid
+        };
+        BidWindow {
+            eligible_secs,
+            reclaims,
+            mean_price,
         }
-        events
     }
-}
-
-/// Assemble a [`FaultPlan`] from reclaim events across families.
-pub fn reclaim_plan(events: Vec<FaultEvent>) -> FaultPlan {
-    FaultPlan::scripted(events)
 }
 
 #[cfg(test)]
@@ -225,7 +176,7 @@ mod tests {
         for &x in p.prices() {
             assert!(x >= 0.15 * mean && x <= 10.0 * mean);
         }
-        let avg: f64 = p.prices().iter().sum::<f64>() / p.len() as f64;
+        let avg: f64 = p.prices().iter().sum::<f64>() / p.prices().len() as f64;
         assert!(
             (avg - mean).abs() < mean,
             "long-run average {avg} strayed from mean {mean}"
@@ -235,9 +186,8 @@ mod tests {
     #[test]
     fn eligible_secs_is_monotone_in_bid() {
         let p = path(5);
-        let lo = p.eligible_secs(0.02, 0.0, p.horizon_secs());
-        let mid = p.eligible_secs(0.04, 0.0, p.horizon_secs());
-        let hi = p.eligible_secs(1.0, 0.0, p.horizon_secs());
+        let eligible = |bid| p.window(bid, 0.0, p.horizon_secs()).eligible_secs;
+        let (lo, mid, hi) = (eligible(0.02), eligible(0.04), eligible(1.0));
         assert!(lo <= mid && mid <= hi);
         assert!(
             (hi - p.horizon_secs()).abs() < 1e-9,
@@ -251,23 +201,10 @@ mod tests {
         // a day of any seed's market.
         let p = path(11);
         let bid = 0.9 * p.mean_rate;
-        let times = p.reclaim_times(bid, 0.0, p.horizon_secs());
+        let times = p.window(bid, 0.0, p.horizon_secs()).reclaims;
         assert!(!times.is_empty());
         for w in times.windows(2) {
             assert!(w[0] < w[1]);
         }
-        let events = p.reclaim_events(bid, 0.0, p.horizon_secs(), &[3, 4, 5]);
-        assert_eq!(events.len(), times.len() * 3);
-        // All ordinals die at the same instants: correlated reclaim.
-        assert!(events
-            .chunks(3)
-            .all(|c| c[0].at == c[1].at && c[1].at == c[2].at));
-    }
-
-    #[test]
-    fn price_at_clamps() {
-        let p = path(9);
-        assert_eq!(p.price_at(-5.0), p.prices()[0]);
-        assert_eq!(p.price_at(1e12), *p.prices().last().unwrap());
     }
 }

@@ -13,7 +13,7 @@
 //! with a fresh fleet and the default policy.
 
 use crate::plan::{InstancePlan, Plan};
-use crate::pricing::{instance_hours, PricingModel};
+use crate::pricing::instance_hours;
 use corpus::FileSpec;
 use ec2sim::{screen_at, Cloud, CloudError, DataLocation, InstanceId, RunReport, ScreeningPolicy};
 use obs::Obs;
@@ -47,8 +47,6 @@ pub struct ExecutionConfig {
     /// bills each a started hour, and replaced, delaying that share's
     /// start.
     pub screen: bool,
-    /// Pricing used for the report.
-    pub pricing: PricingModel,
     /// When set, the fleet launches through this instance family: sampled
     /// quality is reshaped by the family transform and the billed rate is
     /// the family's on-demand price. `None` keeps the classic
@@ -67,7 +65,6 @@ impl Default for ExecutionConfig {
             staging: StagingTier::Ebs,
             stage_in_secs: 30.0,
             screen: false,
-            pricing: PricingModel::default(),
             family: None,
             rate_override: None,
         }
@@ -77,11 +74,11 @@ impl Default for ExecutionConfig {
 impl ExecutionConfig {
     /// Dollars billed per started instance-hour under this configuration:
     /// the explicit override, else the family's on-demand rate, else the
-    /// flat pricing-model rate.
+    /// instance type's list rate — what [`Cloud::launch`] bills.
     pub fn hourly_rate(&self) -> f64 {
         self.rate_override
             .or(self.family.map(|f| f.on_demand_rate))
-            .unwrap_or(self.pricing.hourly_rate)
+            .unwrap_or(self.itype.hourly_rate())
     }
 }
 

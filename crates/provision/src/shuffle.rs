@@ -275,8 +275,7 @@ pub fn map_partials(kind: AggKind, corpus_seed: u64, bins: &[Vec<FileSpec>]) -> 
         .map(|bin| {
             let mut table = TermTable::new(kind);
             for file in bin {
-                let bytes = generator.file_text(file);
-                table.add_document(file.id, &String::from_utf8_lossy(&bytes));
+                table.add_document(file.id, &generator.file_text(file));
             }
             table.into_partial()
         })

@@ -6,7 +6,7 @@
 use corpus::FileSpec;
 use ec2sim::{
     Cloud, CloudConfig, CloudError, FaultEvent, FaultKind, FaultPlan, InstanceFamily, InstanceId,
-    SharingBackend, VolumeId,
+    InstanceType, SharingBackend, VolumeId,
 };
 use obs::Obs;
 use perfmodel::{fit, Fit, ModelKind};
@@ -467,6 +467,26 @@ fn every_executor_bills_the_configured_family() {
         "quality-aware on a hostile fleet",
         &cloud,
         &report.execution,
+    );
+}
+
+#[test]
+fn a_family_less_fleet_reports_what_the_ledger_bills() {
+    let cfg = ExecutionConfig {
+        itype: InstanceType::Large,
+        ..ExecutionConfig::default()
+    };
+    let files = corpus_files(30, 100_000_000);
+    let plan = make_plan(Strategy::UniformBins, &files, &grep_fit(), 15.0).unwrap();
+    let mut cloud = Cloud::new(CloudConfig::ideal(3));
+    let report = execute_plan(&mut cloud, &plan, &GrepCostModel::default(), &cfg).unwrap();
+    assert!(report.instance_hours > 0, "{report:?}");
+    let billed = report.instance_hours as f64 * InstanceType::Large.hourly_rate();
+    assert!((report.cost - billed).abs() < 1e-9, "{report:?}");
+    let ledger = cloud.ledger().total_cost();
+    assert!(
+        (report.cost - ledger).abs() < 1e-9,
+        "{report:?} vs ledger ${ledger}"
     );
 }
 

@@ -103,6 +103,11 @@ if [[ $fast -eq 0 ]]; then
   # logs are byte-identical, then persists the report CI uploads.
   echo "==> market report (writes results/BENCH_market_smoke.json)"
   SMOKE=1 cargo run --release -q -p bench --bin market_report
+  # Smoke changes only the output path, so every column but the 6th,
+  # real-tagger(s) (host wall time), must equal the committed CSV.
+  echo "==> dubliners (writes results/dubliners_smoke.csv, diffs it against results/dubliners.csv)"
+  SMOKE=1 cargo run --release -q -p bench --bin dubliners >/dev/null
+  diff <(cut -d, -f1-5,7 results/dubliners.csv) <(cut -d, -f1-5,7 results/dubliners_smoke.csv)
 fi
 
 if [[ $in_git -eq 1 ]]; then

@@ -1,8 +1,8 @@
 //! Integration tests of the cloud-economics layer: billing against the
-//! paper's pricing scheme, the switching analysis, the spot market, and
-//! dynamic rescheduling — all through public APIs only.
+//! paper's pricing scheme, the switching analysis and a screened fleet's
+//! execution report — all through public APIs only.
 
-use ec2sim::{Cloud, CloudConfig, InstanceType, SpotMarket, SpotRequest};
+use ec2sim::{Cloud, CloudConfig, InstanceType};
 use provision::{
     cost_for_deadline, execute_plan, make_plan, switch_analysis, ExecutionConfig, PricingModel,
     Strategy,
@@ -42,25 +42,6 @@ fn switching_reproduces_section_3_1() {
     assert!(a.gain_if_fast > 50.0e9 && a.gain_if_fast < 65.0e9);
     assert!(a.loss_if_slow > 8.0e9 && a.loss_if_slow < 13.0e9);
     assert!(a.expected_gain > 0.0);
-}
-
-#[test]
-fn spot_market_cheaper_but_slower_for_marginal_bids() {
-    let market = SpotMarket::generate(42, 600, 0.04, 0.004, 300.0);
-    let work = SpotRequest {
-        bid: 0.05,
-        work_secs: 10.0 * 3600.0,
-        resume_penalty_secs: 60.0,
-    };
-    let outcome = market.execute(&work);
-    if let Some(t) = outcome.completed_at {
-        assert!(t >= work.work_secs);
-        // Cheaper than on-demand for the same compute.
-        let on_demand = 10.0 * 0.085;
-        assert!(outcome.cost < on_demand, "{} !< {on_demand}", outcome.cost);
-    } else {
-        assert!(outcome.work_done < work.work_secs);
-    }
 }
 
 #[test]

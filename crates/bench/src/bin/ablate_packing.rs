@@ -7,7 +7,6 @@
 use bench::{execute_pos_plan, pos_calibration, screened_cloud, smoke, Table};
 use binpack::Algorithm;
 use ec2sim::CloudConfig;
-use provision::plan::file_items;
 use provision::Plan;
 
 fn main() {
@@ -22,7 +21,6 @@ fn main() {
     cloud.terminate(inst).unwrap();
 
     let x0 = eq3.invert(deadline).expect("invertible") as u64;
-    let items = file_items(&manifest.files);
 
     let mut t = Table::new(
         &format!("A1 — packing algorithm vs schedule quality (capacity {x0} B)"),
@@ -37,7 +35,7 @@ fn main() {
         ],
     );
     for alg in Algorithm::ALL {
-        let packing = alg.pack(&items, x0);
+        let packing = alg.pack(&manifest.files, x0);
         let stats = binpack::PackingStats::of(&packing);
         let plan = Plan::from_packing(&manifest.files, &packing, &eq3, deadline, deadline, x0);
         let report = execute_pos_plan(1010, &plan);

@@ -38,7 +38,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::item::{Bin, Item};
+use crate::item::Bin;
 
 /// Magic trailer identifying a reshape container, last 8 bytes of the file.
 pub const MAGIC: [u8; 8] = *b"RSHPCNT1";
@@ -559,18 +559,20 @@ impl<'a> Container<'a> {
     }
 }
 
-/// Serialize one packed bin as a container: every item becomes a member,
-/// in bin (concatenation) order, named and filled by the supplied closures.
-/// This is the bridge between the packing layer (which sees only sizes)
-/// and the storage layer (which holds bytes): the streaming ingest sink
-/// uses it to turn sealed bins into unit files.
-pub fn container_from_bin(
-    bin: &Bin,
-    name_of: impl Fn(&Item) -> String,
-    payload_of: impl Fn(&Item) -> Vec<u8>,
+/// Serialize one packed bin as a container: every member of `bin`, looked
+/// up in `packed` (the slice the packing was built from), becomes a
+/// container member, in bin (concatenation) order, named and filled by the
+/// supplied closures. This is the bridge between the packing layer (which
+/// sees only sizes) and the storage layer (which holds bytes): the
+/// streaming ingest sink uses it to turn sealed bins into unit files.
+pub fn container_from_bin<T>(
+    bin: Bin<'_>,
+    packed: &[T],
+    name_of: impl Fn(&T) -> String,
+    payload_of: impl Fn(&T) -> Vec<u8>,
 ) -> Result<Vec<u8>, ContainerError> {
     let mut w = ContainerWriter::new();
-    for item in &bin.items {
+    for item in bin.items(packed) {
         w.add(&name_of(item), &payload_of(item))?;
     }
     Ok(w.finish())
@@ -579,6 +581,7 @@ pub fn container_from_bin(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::Item;
 
     fn sample() -> Vec<u8> {
         let mut w = ContainerWriter::new();
@@ -643,11 +646,12 @@ mod tests {
 
     #[test]
     fn container_from_bin_orders_members_like_the_bin() {
-        let mut bin = Bin::new(100);
-        bin.push(Item::new(7, 3));
-        bin.push(Item::new(2, 5));
+        let items = [Item::new(2, 5), Item::new(7, 3)];
+        let mut p = crate::Packing::new(100);
+        p.push_bin([1, 0], 8);
         let blob = container_from_bin(
-            &bin,
+            p.bin(0),
+            &items,
             |it| format!("file-{}", it.id),
             |it| vec![u8::try_from(it.id & 0xFF).unwrap_or(0); it.size as usize],
         )

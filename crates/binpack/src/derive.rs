@@ -7,27 +7,24 @@
 //! size s0" (§4). We reproduce that: `derive_merged` merges `m` consecutive
 //! bins into one.
 
-use crate::item::Bin;
 use crate::pack::Packing;
 
 /// Merge every `factor` consecutive bins of `base` into one bin of capacity
-/// `factor · base.capacity`. The final merged bin may cover fewer than
+/// `factor · base.capacity()`. The final merged bin may cover fewer than
 /// `factor` source bins. Oversize source bins merge like any other —
-/// after merging their content typically fits the larger unit.
+/// after merging their content typically fits the larger unit. Members
+/// keep their order, so the merged packing has the base's member array and
+/// only its per-bin arrays are new.
 pub fn derive_merged(base: &Packing, factor: usize) -> Packing {
     assert!(factor >= 1, "merge factor must be at least 1");
-    let capacity = base.capacity * factor as u64;
-    let mut bins: Vec<Bin> = Vec::new();
-    for chunk in base.bins.chunks(factor) {
-        let mut b = Bin::new(capacity);
-        for src in chunk {
-            for &item in &src.items {
-                b.push(item);
-            }
-        }
-        bins.push(b);
-    }
-    Packing { bins, capacity }
+    let ends = base.ends().chunks(factor).filter_map(|c| c.last().copied());
+    let used = base.bin_sizes().chunks(factor).map(|c| c.iter().sum());
+    Packing::from_parts(
+        base.members().to_vec(),
+        ends.collect(),
+        used.collect(),
+        base.capacity() * factor as u64,
+    )
 }
 
 #[cfg(test)]
@@ -43,9 +40,10 @@ mod tests {
         assert_eq!(base.len(), 8);
         let merged = derive_merged(&base, 2);
         assert_eq!(merged.len(), 4);
-        assert_eq!(merged.capacity, 20);
+        assert_eq!(merged.capacity(), 20);
         assert_eq!(merged.total_size(), base.total_size());
         assert_eq!(merged.total_items(), base.total_items());
+        assert_eq!(merged.bin(1).members(), &[2, 3]);
     }
 
     #[test]
@@ -54,16 +52,14 @@ mod tests {
         let base = subset_sum_first_fit(&items, 10);
         let merged = derive_merged(&base, 2);
         assert_eq!(merged.len(), 3);
-        assert_eq!(merged.bins[2].used, 10); // lone tail bin
+        assert_eq!(merged.bin(2).used(), 10); // lone tail bin
     }
 
     #[test]
     fn factor_one_is_identity_on_content() {
         let items = Item::from_sizes(&[3, 7, 5, 5]);
         let base = subset_sum_first_fit(&items, 10);
-        let same = derive_merged(&base, 1);
-        assert_eq!(same.len(), base.len());
-        assert_eq!(same.bin_sizes(), base.bin_sizes());
+        assert_eq!(derive_merged(&base, 1), base);
     }
 
     #[test]

@@ -1,10 +1,26 @@
-//! Items (files) and bins (unit files) used by every packing algorithm.
+//! Items (files), the size every kernel reads from them, and the borrowed
+//! view of one bin of a packing.
 
 use serde::{Deserialize, Serialize};
 
 /// Identifier of an item. Packing never inspects it; it exists so callers can
 /// map bins back to the original files they were built from.
 pub type ItemId = u64;
+
+/// What the packing kernels read from an item: its size in bytes. The
+/// kernels take `&[T]` for any `T: Size` and read sizes in place, so a
+/// caller packs its own records (`u64` sizes, [`Item`]s, a corpus
+/// manifest's file specs) without building a copy of them.
+pub trait Size {
+    /// Size in bytes. Zero-sized items are legal and occupy no capacity.
+    fn size(&self) -> u64;
+}
+
+impl Size for u64 {
+    fn size(&self) -> u64 {
+        *self
+    }
+}
 
 /// A single file to pack: an opaque id plus its size in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -13,6 +29,12 @@ pub struct Item {
     pub id: ItemId,
     /// Size in bytes. Zero-sized items are legal and occupy no capacity.
     pub size: u64,
+}
+
+impl Size for Item {
+    fn size(&self) -> u64 {
+        self.size
+    }
 }
 
 impl Item {
@@ -31,29 +53,50 @@ impl Item {
     }
 }
 
-/// One bin: a unit file assembled from a group of items.
+/// One bin of a [`crate::Packing`]: a unit file assembled from a group of
+/// items, borrowed from the packing's flat arrays.
 ///
-/// An item larger than the capacity is placed alone in an *oversize* bin —
-/// the paper's corpora contain such files (HTML_18mil max is 43 MB) and they
-/// cannot be split, so they travel as-is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Bin {
-    /// Items in the order they will be concatenated.
-    pub items: Vec<Item>,
-    /// Sum of item sizes, cached.
-    pub used: u64,
-    /// Capacity this bin was packed against.
-    pub capacity: u64,
+/// Its members are positions into the slice that was packed, in the order
+/// they will be concatenated; [`Bin::items`] resolves them. An item larger
+/// than the capacity is placed alone in an *oversize* bin — the paper's
+/// corpora contain such files (HTML_18mil max is 43 MB) and they cannot be
+/// split, so they travel as-is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bin<'a> {
+    members: &'a [u32],
+    used: u64,
+    capacity: u64,
 }
 
-impl Bin {
-    /// An empty bin with the given capacity.
-    pub fn new(capacity: u64) -> Self {
+impl<'a> Bin<'a> {
+    pub(crate) fn new(members: &'a [u32], used: u64, capacity: u64) -> Self {
         Bin {
-            items: Vec::new(),
-            used: 0,
+            members,
+            used,
             capacity,
         }
+    }
+
+    /// Positions of the members in the packed slice, in concatenation
+    /// order.
+    pub fn members(&self) -> &'a [u32] {
+        self.members
+    }
+
+    /// The members themselves, looked up in `packed`, the slice the
+    /// packing was built from.
+    pub fn items<T>(&self, packed: &'a [T]) -> impl Iterator<Item = &'a T> + 'a {
+        self.members.iter().map(move |&p| &packed[p as usize])
+    }
+
+    /// Sum of the member sizes.
+    pub fn used(&self) -> u64 {
+        self.used
+    }
+
+    /// Capacity this bin was packed against.
+    pub fn capacity(&self) -> u64 {
+        self.capacity
     }
 
     /// Remaining free space; zero when the bin is at or over capacity
@@ -62,26 +105,14 @@ impl Bin {
         self.capacity.saturating_sub(self.used)
     }
 
-    /// Whether `item` fits in the remaining space.
-    pub fn fits(&self, item: &Item) -> bool {
-        item.size <= self.free()
-    }
-
-    /// Append an item unconditionally (callers check `fits` first except for
-    /// oversize placement).
-    pub fn push(&mut self, item: Item) {
-        self.used += item.size;
-        self.items.push(item);
-    }
-
     /// Number of items in the bin.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.members.len()
     }
 
     /// True when the bin contains no items.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.members.is_empty()
     }
 
     /// True when the single item inside exceeds the capacity.
@@ -91,11 +122,17 @@ impl Bin {
 
     /// Fill factor in `[0, 1]` for regular bins; oversize bins report 1.
     pub fn fill(&self) -> f64 {
-        if self.capacity == 0 {
-            return 1.0;
-        }
-        (self.used.min(self.capacity)) as f64 / self.capacity as f64
+        fill(self.used, self.capacity)
     }
+}
+
+/// Fill factor of `used` bytes at `capacity`: in `[0, 1]`, 1 when oversize
+/// or when the capacity is zero.
+pub(crate) fn fill(used: u64, capacity: u64) -> f64 {
+    if capacity == 0 {
+        return 1.0;
+    }
+    (used.min(capacity)) as f64 / capacity as f64
 }
 
 #[cfg(test)]
@@ -104,24 +141,19 @@ mod tests {
 
     #[test]
     fn bin_accounting() {
-        let mut b = Bin::new(100);
-        assert!(b.is_empty());
-        assert_eq!(b.free(), 100);
-        b.push(Item::new(0, 60));
-        assert_eq!(b.free(), 40);
-        assert!(b.fits(&Item::new(1, 40)));
-        assert!(!b.fits(&Item::new(1, 41)));
-        b.push(Item::new(1, 40));
+        let b = Bin::new(&[0, 1], 100, 100);
         assert_eq!(b.free(), 0);
         assert_eq!(b.len(), 2);
         assert!((b.fill() - 1.0).abs() < 1e-12);
         assert!(!b.is_oversize());
+        let half = Bin::new(&[0], 60, 100);
+        assert_eq!(half.free(), 40);
+        assert!((half.fill() - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn oversize_bin_reports_zero_free() {
-        let mut b = Bin::new(10);
-        b.push(Item::new(0, 25));
+        let b = Bin::new(&[0], 25, 10);
         assert!(b.is_oversize());
         assert_eq!(b.free(), 0);
         assert!((b.fill() - 1.0).abs() < 1e-12);
@@ -129,13 +161,24 @@ mod tests {
 
     #[test]
     fn zero_capacity_bin_fill_defined() {
-        let b = Bin::new(0);
+        let b = Bin::new(&[], 0, 0);
+        assert!(b.is_empty());
         assert!((b.fill() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn items_resolve_member_positions() {
+        let items = Item::from_sizes(&[3, 1, 4]);
+        let b = Bin::new(&[2, 0], 7, 10);
+        let ids: Vec<u64> = b.items(&items).map(|it| it.id).collect();
+        assert_eq!(ids, vec![2, 0]);
     }
 
     #[test]
     fn from_sizes_assigns_positional_ids() {
         let items = Item::from_sizes(&[3, 1, 4]);
         assert_eq!(items[2], Item::new(2, 4));
+        assert_eq!(items[2].size(), 4);
+        assert_eq!(4u64.size(), 4);
     }
 }

@@ -10,8 +10,8 @@
 //!   which lowers every instance's finishing time below the deadline at the
 //!   same cost `r·i`.
 
-use crate::item::{Bin, Item};
-use crate::pack::Packing;
+use crate::item::Size;
+use crate::pack::{Assignment, Packing};
 
 /// Uniform split into exactly `k` bins using longest-processing-time
 /// greedy: items are considered largest-first and each goes to the
@@ -25,56 +25,45 @@ use crate::pack::Packing;
 /// Reference implementation (O(n·k) bin selection) — the production kernel
 /// is [`crate::uniform_k_bins`], which produces the identical packing in
 /// O(n log k) via a min-heap.
-pub fn naive_uniform_k_bins(items: &[Item], k: usize) -> Packing {
+pub fn naive_uniform_k_bins<T: Size>(items: &[T], k: usize) -> Packing {
     assert!(k >= 1, "need at least one bin");
-    let total: u64 = items.iter().map(|i| i.size).sum();
+    let total: u64 = items.iter().map(Size::size).sum();
     let target = total.div_ceil(k as u64).max(1);
 
-    let mut order: Vec<(usize, Item)> = items.iter().copied().enumerate().collect();
-    order.sort_by(|a, b| b.1.size.cmp(&a.1.size).then(a.0.cmp(&b.0)));
+    let mut order: Vec<(usize, u64)> = items.iter().map(Size::size).enumerate().collect();
+    order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
-    let mut assigned: Vec<Vec<(usize, Item)>> = vec![Vec::new(); k];
-    let mut loads = vec![0u64; k];
-    for (pos, item) in order {
+    let mut a = Assignment::by_position(items.len());
+    for _ in 0..k {
+        a.open();
+    }
+    for (pos, size) in order {
         // lint:allow(RL001, the range 0..k is non-empty because k >= 1 is asserted on entry)
-        let idx = (0..k).min_by_key(|&i| (loads[i], i)).unwrap();
-        loads[idx] += item.size;
-        assigned[idx].push((pos, item));
+        let idx = (0..k).min_by_key(|&i| (a.used[i], i)).unwrap();
+        a.set(pos, idx, size);
     }
-
-    let bins = assigned
-        .into_iter()
-        .map(|mut members| {
-            members.sort_by_key(|&(pos, _)| pos);
-            let mut b = Bin::new(target);
-            for (_, item) in members {
-                b.push(item);
-            }
-            b
-        })
-        .collect();
-    Packing {
-        bins,
-        capacity: target,
-    }
+    // The input-order layout restores input order within every bin.
+    a.into_packing(target)
 }
 
-/// Rebalance an existing capacity-driven packing into the same number of
-/// bins but with uniform loads. This is the move from Fig 8(a) to Fig 8(b):
-/// same instance count (same cost `r·i`), lower per-instance volume,
-/// better deadline margin.
-pub fn rebalance_uniform(packing: &Packing) -> Packing {
-    let items: Vec<Item> = packing
-        .bins
-        .iter()
-        .flat_map(|b| b.items.iter().copied())
-        .collect();
-    crate::fast::uniform_k_bins(&items, packing.len().max(1))
+/// Rebalance an existing capacity-driven packing of `items` into the same
+/// number of bins but with uniform loads. This is the move from Fig 8(a) to
+/// Fig 8(b): same instance count (same cost `r·i`), lower per-instance
+/// volume, better deadline margin. The members are taken in bin order, as
+/// the capacity-driven bins would be concatenated.
+pub fn rebalance_uniform<T: Size>(items: &[T], packing: &Packing) -> Packing {
+    let members = packing.members();
+    let sizes: Vec<u64> = members.iter().map(|&p| items[p as usize].size()).collect();
+    let balanced = crate::fast::uniform_k_bins(&sizes, packing.len().max(1));
+    let mut out = Packing::new(balanced.capacity());
+    out.extend_through(&balanced, members);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::Item;
 
     #[test]
     fn uniform_split_balances_loads() {
@@ -94,18 +83,15 @@ mod tests {
         let p = naive_uniform_k_bins(&items, 4);
         assert_eq!(p.len(), 4);
         assert_eq!(p.total_items(), 2);
-        assert_eq!(p.bins.iter().filter(|b| b.is_empty()).count(), 2);
+        assert_eq!(p.bins().filter(|b| b.is_empty()).count(), 2);
     }
 
     #[test]
     fn uniform_split_keeps_input_order_within_bins() {
         let items = Item::from_sizes(&[3, 9, 1, 7, 5, 2]);
         let p = naive_uniform_k_bins(&items, 2);
-        for b in &p.bins {
-            let ids: Vec<u64> = b.items.iter().map(|i| i.id).collect();
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            assert_eq!(ids, sorted);
+        for b in p.bins() {
+            assert!(b.members().windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -113,18 +99,12 @@ mod tests {
     fn rebalance_keeps_bin_count_and_bytes() {
         let items = Item::from_sizes(&[9, 9, 9, 1, 1, 1, 1, 1, 1]);
         let cap_driven = crate::first_fit(&items, 10);
-        let balanced = rebalance_uniform(&cap_driven);
+        let balanced = rebalance_uniform(&items, &cap_driven);
         assert_eq!(balanced.len(), cap_driven.len());
         assert_eq!(balanced.total_size(), cap_driven.total_size());
-        let spread_before = {
-            let s = cap_driven.bin_sizes();
-            s.iter().max().unwrap() - s.iter().min().unwrap()
-        };
-        let spread_after = {
-            let s = balanced.bin_sizes();
-            s.iter().max().unwrap() - s.iter().min().unwrap()
-        };
-        assert!(spread_after <= spread_before);
+        let spread = |s: &[u64]| s.iter().max().unwrap() - s.iter().min().unwrap();
+        assert!(spread(balanced.bin_sizes()) <= spread(cap_driven.bin_sizes()));
+        crate::check::check_k_packing(&items, &balanced, cap_driven.len()).unwrap();
     }
 
     #[test]
@@ -133,8 +113,8 @@ mod tests {
         // 8,8,8 then the 2s top up the first two -> 10/10/8, max load 10.
         let items = Item::from_sizes(&[8, 2, 8, 2, 8]);
         let cap_driven = crate::first_fit(&items, 10);
-        let balanced = rebalance_uniform(&cap_driven);
-        let mut loads = balanced.bin_sizes();
+        let balanced = rebalance_uniform(&items, &cap_driven);
+        let mut loads = balanced.bin_sizes().to_vec();
         loads.sort_unstable();
         assert_eq!(loads, vec![8, 10, 10]);
     }

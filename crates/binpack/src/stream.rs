@@ -3,10 +3,12 @@
 //! one final packing.
 //!
 //! The batch planner ([`Algorithm::pack`]) sees the whole corpus at once;
-//! real corpora arrive continuously. [`StreamPacker`] buffers arrivals into
-//! a *pending segment* and, when a [`SealPolicy`] trigger fires, batch-packs
-//! the segment with the configured algorithm and seals the resulting
-//! bins. Sealed bins are immutable — exactly the property the container
+//! real corpora arrive continuously. [`StreamPacker`] keeps every admitted
+//! item in arrival order; the latest arrivals form a *pending segment*
+//! and, when a [`SealPolicy`] trigger fires, the packer batch-packs the
+//! segment with the configured algorithm and seals the resulting bins into
+//! its one flat packing, whose members are positions into the admitted
+//! items. Sealed bins are immutable — exactly the property the container
 //! format (see [`crate::container`]) needs to write unit files as they
 //! close instead of at corpus end.
 //!
@@ -14,9 +16,8 @@
 //!
 //! Each sealed segment is a **contiguous run of the arrival sequence**,
 //! packed by the same [`Algorithm::pack`] the batch path uses, and
-//! [`StreamPacker::finish`] merges segments with the same
-//! [`merge_shard_packings`] used by [`pack_sharded`] — segments play the
-//! role of shards. Two exact equivalences follow (pinned by the
+//! [`StreamPacker::finish`] merges segments with the same tail merge
+//! [`pack_sharded`] uses — segments play the role of shards. Two exact equivalences follow (pinned by the
 //! differential proptests in `tests/stream_vs_batch.rs`):
 //!
 //! 1. **Flush-only**: with no seal triggers, the whole trace is one
@@ -39,9 +40,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::item::Item;
+use crate::item::{Item, Size};
 use crate::pack::Packing;
-use crate::parallel::{merge_shard_packings, MergePolicy};
+use crate::parallel::{merge_tails, repack_bins, MergePolicy};
 use crate::Algorithm;
 
 /// When to seal the pending segment. Both triggers are optional; with both
@@ -141,21 +142,6 @@ impl StreamConfig {
     }
 }
 
-/// One sealed segment: a packed, immutable run of the arrival sequence.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SealedSegment {
-    /// The segment's bins, as packed by the configured algorithm.
-    pub packing: Packing,
-    /// What triggered the seal.
-    pub cause: SealCause,
-    /// Simulated time of the seal.
-    pub sealed_at: f64,
-    /// Items in the segment.
-    pub items: u64,
-    /// Payload bytes in the segment.
-    pub bytes: u64,
-}
-
 /// Running totals for a stream, suitable for observability counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StreamStats {
@@ -179,9 +165,12 @@ pub struct StreamStats {
     pub sealed_bytes: u64,
 }
 
-/// Final result of a stream: the merged packing plus per-segment history.
+/// Final result of a stream: the admitted items, their merged packing and
+/// the per-segment history.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StreamOutcome {
+    /// Every admitted item, in arrival order: the slice `packing` indexes.
+    pub items: Vec<Item>,
     /// The merged packing over every admitted item.
     pub packing: Packing,
     /// Seal history: cause, time, item/byte/bin counts per segment.
@@ -190,8 +179,7 @@ pub struct StreamOutcome {
     pub stats: StreamStats,
 }
 
-/// Seal-history entry in a [`StreamOutcome`] (the packed bins themselves
-/// are consumed by the merge).
+/// One sealed segment: a packed, immutable run of the arrival sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SegmentSummary {
     /// What triggered the seal.
@@ -212,10 +200,14 @@ pub struct SegmentSummary {
 #[derive(Debug, Clone)]
 pub struct StreamPacker {
     config: StreamConfig,
-    pending: Vec<Item>,
+    /// Every admitted item; the pending segment is `items[pending_from..]`.
+    items: Vec<Item>,
+    pending_from: usize,
     pending_bytes: u64,
     oldest_pending_at: f64,
-    segments: Vec<SealedSegment>,
+    /// The sealed segments' bins, back to back.
+    packing: Packing,
+    segments: Vec<SegmentSummary>,
     stats: StreamStats,
 }
 
@@ -226,9 +218,11 @@ impl StreamPacker {
         assert!(config.capacity > 0, "stream capacity must be positive");
         StreamPacker {
             config,
-            pending: Vec::new(),
+            items: Vec::new(),
+            pending_from: 0,
             pending_bytes: 0,
             oldest_pending_at: 0.0,
+            packing: Packing::new(config.capacity),
             segments: Vec::new(),
             stats: StreamStats::default(),
         }
@@ -245,7 +239,7 @@ impl StreamPacker {
     }
 
     /// Segments sealed so far.
-    pub fn sealed_segments(&self) -> &[SealedSegment] {
+    pub fn sealed_segments(&self) -> &[SegmentSummary] {
         &self.segments
     }
 
@@ -260,11 +254,11 @@ impl StreamPacker {
     /// then checks the byte trigger.
     pub fn admit(&mut self, item: Item, now_secs: f64) {
         self.seal_if_aged(now_secs);
-        if self.pending.is_empty() {
+        if self.pending_from == self.items.len() {
             self.oldest_pending_at = now_secs;
         }
         self.pending_bytes += item.size;
-        self.pending.push(item);
+        self.items.push(item);
         self.stats.admitted_items += 1;
         self.stats.admitted_bytes += item.size;
         if let Some(max) = self.config.seal.max_pending_bytes {
@@ -295,42 +289,35 @@ impl StreamPacker {
     /// pack); multiple segments merge under the configured [`MergePolicy`].
     pub fn finish(mut self, now_secs: f64) -> StreamOutcome {
         self.seal(SealCause::Flush, now_secs);
-        let summaries: Vec<SegmentSummary> = self
-            .segments
-            .iter()
-            .map(|s| SegmentSummary {
-                cause: s.cause,
-                sealed_at: s.sealed_at,
-                items: s.items,
-                bytes: s.bytes,
-                bins: s.packing.len() as u64,
-            })
-            .collect();
-        let capacity = self.config.capacity;
-        let mut packings: Vec<Packing> = self.segments.into_iter().map(|s| s.packing).collect();
-        let packing = match packings.len() {
-            0 => Packing {
-                bins: Vec::new(),
-                capacity,
-            },
-            1 => match packings.pop() {
-                Some(p) => p,
-                None => Packing {
-                    bins: Vec::new(),
-                    capacity,
-                },
-            },
-            _ => merge_shard_packings(self.config.algorithm, capacity, packings, self.config.merge),
+        let packing = if self.segments.len() <= 1 {
+            self.packing
+        } else {
+            let segment_ends: Vec<usize> = self
+                .segments
+                .iter()
+                .scan(0, |end, s| {
+                    *end += s.bins as usize;
+                    Some(*end)
+                })
+                .collect();
+            merge_tails(
+                self.config.algorithm,
+                &self.items,
+                self.packing,
+                &segment_ends,
+                self.config.merge,
+            )
         };
         StreamOutcome {
+            items: self.items,
             packing,
-            segments: summaries,
+            segments: self.segments,
             stats: self.stats,
         }
     }
 
     fn seal_if_aged(&mut self, now_secs: f64) {
-        if self.pending.is_empty() {
+        if self.pending_from == self.items.len() {
             return;
         }
         if let Some(max_age) = self.config.seal.max_age_secs {
@@ -341,15 +328,17 @@ impl StreamPacker {
     }
 
     fn seal(&mut self, cause: SealCause, now_secs: f64) {
-        if self.pending.is_empty() {
+        let pending = &self.items[self.pending_from..];
+        if pending.is_empty() {
             return;
         }
-        let items = std::mem::take(&mut self.pending);
         let bytes = self.pending_bytes;
         self.pending_bytes = 0;
-        let packing = self.config.algorithm.pack(&items, self.config.capacity);
+        let a = self.config.algorithm.assign(pending, self.config.capacity);
+        let bins = a.bins() as u64;
+        self.packing.append(&a);
         self.stats.sealed_segments += 1;
-        self.stats.sealed_bins += packing.len() as u64;
+        self.stats.sealed_bins += bins;
         self.stats.sealed_bytes += bytes;
         match cause {
             SealCause::Full => self.stats.seals_full += 1,
@@ -357,13 +346,14 @@ impl StreamPacker {
             SealCause::Explicit => self.stats.seals_explicit += 1,
             SealCause::Flush => self.stats.seals_flush += 1,
         }
-        self.segments.push(SealedSegment {
-            packing,
+        self.segments.push(SegmentSummary {
             cause,
             sealed_at: now_secs,
-            items: items.len() as u64,
+            items: pending.len() as u64,
             bytes,
+            bins,
         });
+        self.pending_from = self.items.len();
     }
 }
 
@@ -380,44 +370,34 @@ pub struct CompactionStats {
     pub rewritten_bytes: u64,
 }
 
-/// Rewrite under-full sealed bins: every non-oversize bin with
-/// `fill() < min_fill` is dissolved and its items repacked together (in bin
-/// order, which is arrival order) with the given algorithm; bins at or
-/// above the threshold — and oversize singletons — pass through untouched,
-/// keeping their byte-identical container representation. Single pass: the
-/// repack may itself leave one trailing bin below the threshold.
-pub fn compact_underfull(
+/// Rewrite under-full sealed bins of a packing of `items`: every
+/// non-oversize bin with `fill() < min_fill` is dissolved and its items
+/// repacked together (in bin order, which is arrival order) with the given
+/// algorithm; bins at or above the threshold — and oversize singletons —
+/// pass through untouched, keeping their byte-identical container
+/// representation. Single pass: the repack may itself leave one trailing
+/// bin below the threshold.
+pub fn compact_underfull<T: Size>(
     alg: Algorithm,
+    items: &[T],
     packing: Packing,
     min_fill: f64,
 ) -> (Packing, CompactionStats) {
-    let capacity = packing.capacity;
+    let dissolved: Vec<usize> = packing
+        .bins()
+        .enumerate()
+        .filter(|(_, b)| !b.is_oversize() && b.fill() < min_fill)
+        .map(|(i, _)| i)
+        .collect();
     let mut stats = CompactionStats {
-        bins_before: packing.bins.len() as u64,
+        bins_before: packing.len() as u64,
+        rewritten_bins: dissolved.len() as u64,
+        rewritten_bytes: dissolved.iter().map(|&b| packing.bin(b).used()).sum(),
         ..CompactionStats::default()
     };
-    let mut kept = Vec::with_capacity(packing.bins.len());
-    let mut loose: Vec<Item> = Vec::new();
-    for bin in packing.bins {
-        if bin.is_oversize() || bin.fill() >= min_fill {
-            kept.push(bin);
-        } else {
-            stats.rewritten_bins += 1;
-            stats.rewritten_bytes += bin.used;
-            loose.extend(bin.items);
-        }
-    }
-    if !loose.is_empty() {
-        kept.extend(alg.pack(&loose, capacity).bins);
-    }
-    stats.bins_after = kept.len() as u64;
-    (
-        Packing {
-            bins: kept,
-            capacity,
-        },
-        stats,
-    )
+    let packing = repack_bins(alg, items, packing, &dissolved, false);
+    stats.bins_after = packing.len() as u64;
+    (packing, stats)
 }
 
 #[cfg(test)]
@@ -450,7 +430,7 @@ mod tests {
     #[test]
     fn empty_stream_finishes_empty() {
         let out = StreamPacker::new(StreamConfig::new(1000)).finish(0.0);
-        assert!(out.packing.bins.is_empty());
+        assert!(out.packing.is_empty());
         assert_eq!(out.stats.admitted_items, 0);
         assert!(out.segments.is_empty());
     }
@@ -595,13 +575,13 @@ mod tests {
         let its = Item::from_sizes(&[900, 100, 10, 2000]);
         let p = Algorithm::FirstFit.pack(&its, 1000);
         assert_eq!(p.len(), 3); // [900,100] | [10] | [2000]
-        let (compacted, stats) = compact_underfull(Algorithm::FirstFit, p, 0.5);
+        let (compacted, stats) = compact_underfull(Algorithm::FirstFit, &its, p, 0.5);
         assert_eq!(stats.bins_before, 3);
         assert_eq!(stats.rewritten_bins, 1);
         assert_eq!(stats.rewritten_bytes, 10);
         assert_eq!(compacted.total_size(), 3010);
         // Oversize bin survives untouched.
-        assert!(compacted.bins.iter().any(|b| b.is_oversize()));
+        assert!(compacted.bins().any(|b| b.is_oversize()));
     }
 
     #[test]
@@ -609,7 +589,7 @@ mod tests {
         let its = Item::from_sizes(&[500, 500, 500, 500]);
         let p = Algorithm::FirstFit.pack(&its, 1000);
         let before = p.clone();
-        let (after, stats) = compact_underfull(Algorithm::FirstFit, p, 0.9);
+        let (after, stats) = compact_underfull(Algorithm::FirstFit, &its, p, 0.9);
         assert_eq!(after, before);
         assert_eq!(stats.rewritten_bins, 0);
         assert_eq!(stats.bins_before, stats.bins_after);

@@ -13,7 +13,8 @@
 //! identical output lives in [`crate::fast`] and is what
 //! [`crate::subset_sum_first_fit`] resolves to.
 
-use crate::item::{Bin, Item};
+use crate::fast::{assert_indexable, index_u32};
+use crate::item::Size;
 use crate::pack::Packing;
 
 /// Pack `items` into bins of `capacity` using greedy subset-sum first fit —
@@ -30,59 +31,55 @@ use crate::pack::Packing;
 /// [`crate::subset_sum_first_fit`] produces the identical packing in
 /// O(n log n); this version is retained as the differential-testing oracle
 /// and for line-by-line correspondence with the paper's description.
-pub fn naive_subset_sum_first_fit(items: &[Item], capacity: u64) -> Packing {
+pub fn naive_subset_sum_first_fit<T: Size>(items: &[T], capacity: u64) -> Packing {
     assert!(capacity > 0, "bin capacity must be positive");
-    let mut bins: Vec<Bin> = Vec::new();
+    assert_indexable(items.len());
+    let mut packing = Packing::new(capacity);
 
     // Oversize items pass through untouched.
-    for &item in items.iter().filter(|i| i.size > capacity) {
-        let mut b = Bin::new(capacity);
-        b.push(item);
-        bins.push(b);
+    for (pos, item) in items.iter().enumerate() {
+        if item.size() > capacity {
+            packing.push_bin([index_u32(pos)], item.size());
+        }
     }
 
     // Remaining items, sorted by size descending (stable on input order).
-    let mut pos: Vec<(usize, Item)> = items
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(_, i)| i.size <= capacity)
+    let mut pos: Vec<(u32, u64)> = (0..index_u32(items.len()))
+        .map(|p| (p, items[p as usize].size()))
+        .filter(|&(_, size)| size <= capacity)
         .collect();
-    pos.sort_by(|a, b| b.1.size.cmp(&a.1.size).then(a.0.cmp(&b.0)));
+    pos.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
     let mut taken = vec![false; pos.len()];
     let mut remaining = pos.len();
     while remaining > 0 {
-        let mut bin_members: Vec<(usize, Item)> = Vec::new();
+        let mut members: Vec<u32> = Vec::new();
         let mut free = capacity;
         // Greedy: scan the descending list, take everything that fits.
-        for (k, &(orig, item)) in pos.iter().enumerate() {
-            if taken[k] || item.size > free {
+        for (k, &(orig, size)) in pos.iter().enumerate() {
+            if taken[k] || size > free {
                 continue;
             }
             taken[k] = true;
             remaining -= 1;
-            free -= item.size;
-            bin_members.push((orig, item));
+            free -= size;
+            members.push(orig);
             if free == 0 {
                 break;
             }
         }
         // Restore input order within the bin for stable concatenation.
-        bin_members.sort_by_key(|&(orig, _)| orig);
-        let mut b = Bin::new(capacity);
-        for (_, item) in bin_members {
-            b.push(item);
-        }
-        bins.push(b);
+        members.sort_unstable();
+        packing.push_bin(members, capacity - free);
     }
 
-    Packing { bins, capacity }
+    packing
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::Item;
     use crate::pack::naive_first_fit;
 
     fn items(sizes: &[u64]) -> Vec<Item> {
@@ -97,8 +94,8 @@ mod tests {
         let ff = naive_first_fit(&items(&sizes), 10);
         assert_eq!(ss.len(), 3); // three perfect 6+4 bins
         assert!(ss.len() <= ff.len());
-        for b in &ss.bins {
-            assert_eq!(b.used, 10);
+        for b in ss.bins() {
+            assert_eq!(b.used(), 10);
         }
     }
 
@@ -114,16 +111,15 @@ mod tests {
     fn bin_contents_keep_input_order() {
         let p = naive_subset_sum_first_fit(&items(&[4, 6]), 10);
         assert_eq!(p.len(), 1);
-        let ids: Vec<u64> = p.bins[0].items.iter().map(|i| i.id).collect();
-        assert_eq!(ids, vec![0, 1]);
+        assert_eq!(p.bin(0).members(), &[0, 1]);
     }
 
     #[test]
     fn oversize_handled_separately() {
         let p = naive_subset_sum_first_fit(&items(&[30, 6, 4]), 10);
         assert_eq!(p.len(), 2);
-        assert!(p.bins[0].is_oversize());
-        assert_eq!(p.bins[1].used, 10);
+        assert!(p.bin(0).is_oversize());
+        assert_eq!(p.bin(1).used(), 10);
     }
 
     #[test]
@@ -133,26 +129,26 @@ mod tests {
         // ones — there is no interleaving by arrival position.
         let p = naive_subset_sum_first_fit(&items(&[5, 30, 5, 40]), 10);
         assert_eq!(p.len(), 3);
-        assert!(p.bins[0].is_oversize());
-        assert!(p.bins[1].is_oversize());
-        assert_eq!(p.bins[0].items[0].size, 30); // input order among oversize
-        assert_eq!(p.bins[1].items[0].size, 40);
-        assert!(!p.bins[2].is_oversize());
-        assert_eq!(p.bins[2].used, 10); // the two 5s merged at the back
+        assert!(p.bin(0).is_oversize());
+        assert!(p.bin(1).is_oversize());
+        assert_eq!(p.bin(0).used(), 30); // input order among oversize
+        assert_eq!(p.bin(1).used(), 40);
+        assert!(!p.bin(2).is_oversize());
+        assert_eq!(p.bin(2).used(), 10); // the two 5s merged at the back
     }
 
     #[test]
     fn never_overflows_regular_bins() {
         let sizes: Vec<u64> = (1..=50).map(|i| (i * 7) % 13 + 1).collect();
-        let p = naive_subset_sum_first_fit(&Item::from_sizes(&sizes), 20);
-        for b in &p.bins {
-            assert!(b.is_oversize() || b.used <= 20);
+        let p = naive_subset_sum_first_fit(&sizes, 20);
+        for b in p.bins() {
+            assert!(b.is_oversize() || b.used() <= 20);
         }
     }
 
     #[test]
     fn empty_input() {
-        let p = naive_subset_sum_first_fit(&[], 10);
+        let p = naive_subset_sum_first_fit::<u64>(&[], 10);
         assert!(p.is_empty());
     }
 }

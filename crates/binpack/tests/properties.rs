@@ -29,7 +29,7 @@ proptest! {
         let input = multiset(items.iter().copied());
         for alg in Algorithm::ALL {
             let p = alg.pack(&items, cap);
-            let out = multiset(p.bins.iter().flat_map(|b| b.items.iter().copied()));
+            let out = multiset(p.bins().flat_map(|b| b.items(&items).copied()));
             prop_assert_eq!(&input, &out, "{:?} lost or duplicated items", alg);
         }
     }
@@ -38,12 +38,12 @@ proptest! {
     fn regular_bins_never_overflow(items in arb_items(), cap in 1u64..2_000) {
         for alg in Algorithm::ALL {
             let p = alg.pack(&items, cap);
-            for b in &p.bins {
+            for b in p.bins() {
                 if b.is_oversize() {
                     prop_assert_eq!(b.len(), 1, "{:?} merged into an oversize bin", alg);
-                    prop_assert!(b.items[0].size > cap);
+                    prop_assert!(items[b.members()[0] as usize].size > cap);
                 } else {
-                    prop_assert!(b.used <= cap);
+                    prop_assert!(b.used() <= cap);
                 }
             }
         }
@@ -54,7 +54,7 @@ proptest! {
         // Only uniform_k_bins may produce empty bins (fixed k).
         for alg in Algorithm::ALL {
             let p = alg.pack(&items, cap);
-            for b in &p.bins {
+            for b in p.bins() {
                 prop_assert!(!b.is_empty(), "{:?} produced an empty bin", alg);
             }
         }
@@ -67,8 +67,8 @@ proptest! {
     ) {
         let items = Item::from_sizes(&sizes);
         let p = first_fit(&items, cap);
-        for b in &p.bins {
-            let ids: Vec<u64> = b.items.iter().map(|i| i.id).collect();
+        for b in p.bins() {
+            let ids: Vec<u64> = b.items(&items).map(|i| i.id).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             prop_assert_eq!(ids, sorted);
@@ -82,8 +82,8 @@ proptest! {
     ) {
         let items = Item::from_sizes(&sizes);
         let p = subset_sum_first_fit(&items, cap);
-        for b in &p.bins {
-            let ids: Vec<u64> = b.items.iter().map(|i| i.id).collect();
+        for b in p.bins() {
+            let ids: Vec<u64> = b.items(&items).map(|i| i.id).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             prop_assert_eq!(ids, sorted);
@@ -116,7 +116,7 @@ proptest! {
         let merged = derive_merged(&base, factor);
         prop_assert_eq!(merged.total_size(), base.total_size());
         prop_assert_eq!(merged.total_items(), base.total_items());
-        prop_assert_eq!(merged.capacity, cap * factor as u64);
+        prop_assert_eq!(merged.capacity(), cap * factor as u64);
         prop_assert_eq!(merged.len(), base.len().div_ceil(factor));
     }
 
@@ -251,10 +251,10 @@ proptest! {
         for alg in [Algorithm::SubsetSumFirstFit, Algorithm::FirstFit, Algorithm::BestFit] {
             let p = pack_sharded(alg, &items, cap, config, Parallelism::Sequential);
             let input = multiset(items.iter().copied());
-            let out = multiset(p.bins.iter().flat_map(|b| b.items.iter().copied()));
+            let out = multiset(p.bins().flat_map(|b| b.items(&items).copied()));
             prop_assert_eq!(&input, &out, "{:?} lost or duplicated items", alg);
-            for b in &p.bins {
-                prop_assert!(b.is_oversize() && b.len() == 1 || b.used <= cap, "{:?}", alg);
+            for b in p.bins() {
+                prop_assert!(b.is_oversize() && b.len() == 1 || b.used() <= cap, "{:?}", alg);
             }
         }
     }
@@ -266,7 +266,7 @@ proptest! {
     ) {
         let items = Item::from_sizes(&sizes);
         let cap_driven = first_fit(&items, cap);
-        let balanced = rebalance_uniform(&cap_driven);
+        let balanced = rebalance_uniform(&items, &cap_driven);
         prop_assert_eq!(balanced.len(), cap_driven.len());
         // Greedy least-loaded bound: when the eventual max bin received its
         // last item it was the least loaded, i.e. at most the mean, so the
@@ -274,10 +274,10 @@ proptest! {
         let k = balanced.len() as u64;
         let total: u64 = sizes.iter().sum();
         let largest = *sizes.iter().max().unwrap();
-        let after = balanced.bin_sizes().into_iter().max().unwrap();
+        let after = balanced.bin_sizes().iter().copied().max().unwrap();
         prop_assert!(after <= total.div_ceil(k) + largest);
         // And it never exceeds the capacity-driven max when bins were full.
-        let before = cap_driven.bin_sizes().into_iter().max().unwrap();
+        let before = cap_driven.bin_sizes().iter().copied().max().unwrap();
         prop_assert!(after <= before.max(total.div_ceil(k) + largest));
     }
 
@@ -290,17 +290,17 @@ proptest! {
         for alg in [Algorithm::FirstFit, Algorithm::BestFit, Algorithm::SubsetSumFirstFit] {
             let p = alg.pack(&items, cap);
             let (before_bytes, before_members) =
-                (p.total_size(), multiset(p.bins.iter().flat_map(|b| b.items.iter().copied())));
-            let (after, stats) = binpack::compact_underfull(alg, p, min_fill);
+                (p.total_size(), multiset(p.bins().flat_map(|b| b.items(&items).copied())));
+            let (after, stats) = binpack::compact_underfull(alg, &items, p, min_fill);
             prop_assert_eq!(after.total_size(), before_bytes, "{:?} changed bytes", alg);
             let after_members =
-                multiset(after.bins.iter().flat_map(|b| b.items.iter().copied()));
+                multiset(after.bins().flat_map(|b| b.items(&items).copied()));
             prop_assert_eq!(&after_members, &before_members, "{:?} changed members", alg);
             prop_assert_eq!(stats.bins_after, after.len() as u64);
             prop_assert!(stats.bins_after <= stats.bins_before.max(stats.rewritten_bins) + stats.bins_before);
             // Compaction must never overflow a regular bin.
-            for b in &after.bins {
-                prop_assert!(b.is_oversize() && b.len() == 1 || b.used <= cap, "{:?}", alg);
+            for b in after.bins() {
+                prop_assert!(b.is_oversize() && b.len() == 1 || b.used() <= cap, "{:?}", alg);
             }
         }
     }

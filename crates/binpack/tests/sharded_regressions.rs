@@ -98,14 +98,14 @@ fn zero_shards_is_treated_as_one() {
 #[test]
 fn single_item_and_empty_inputs_short_circuit() {
     for merge in MERGES {
-        let empty = pack_sharded(
+        let empty = pack_sharded::<Item>(
             Algorithm::BestFit,
             &[],
             50,
             ShardedConfig { shards: 16, merge },
             Parallelism::Sequential,
         );
-        assert!(empty.bins.is_empty(), "empty input must pack to no bins");
+        assert!(empty.is_empty(), "empty input must pack to no bins");
 
         let one = [Item::new(0, 42)];
         let p = pack_sharded(
@@ -139,7 +139,7 @@ proptest! {
                 check(&items, &seq, "over-sharded prop");
                 let par = pack_sharded(alg, &items, cap, config, Parallelism::Rayon(3));
                 prop_assert_eq!(&seq, &par, "{:?}/{:?} diverged under Rayon", alg, merge);
-                let total: u64 = seq.bins.iter().map(|b| b.used).sum();
+                let total: u64 = seq.bins().map(|b| b.used()).sum();
                 prop_assert_eq!(total, sizes.iter().sum::<u64>());
             }
         }

@@ -20,6 +20,14 @@ pub struct FileSpec {
     pub complexity: f64,
 }
 
+/// The packing kernels read a file's size in place, so a manifest packs
+/// as it is, with no item copy per file.
+impl binpack::Size for FileSpec {
+    fn size(&self) -> u64 {
+        self.size
+    }
+}
+
 impl FileSpec {
     /// A file with average complexity.
     pub fn new(id: u64, size: u64) -> Self {

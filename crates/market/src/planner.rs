@@ -408,8 +408,11 @@ pub fn cheapest_family_plan<'c>(
                     packings.len() - 1
                 }
             };
-            let loads = packings[at].1.bins.iter().filter(|b| !b.items.is_empty());
-            let cost = expected_cost(loads.map(|b| clock.predict(b.used)), family.on_demand_rate);
+            let loads = packings[at].1.bins().filter(|b| !b.is_empty());
+            let cost = expected_cost(
+                loads.map(|b| clock.predict(b.used())),
+                family.on_demand_rate,
+            );
             Some((family, clock, sizing, at, cost))
         })
         .min_by(|a, b| a.4.total_cmp(&b.4))?;
@@ -932,6 +935,37 @@ mod tests {
             .iter()
             .any(|q| matches!(q.reject, Some(MarketReject::SpotCapacityExhausted { .. })));
         assert!(exhausted, "quotes: {:?}", port.quotes);
+    }
+
+    /// A LogQuad fit predicts a share of zero-byte files at its 1-byte
+    /// runtime, so an adjusted fleet with more shares than nonempty files
+    /// stays feasible and bills finite hours.
+    #[test]
+    fn logquad_zero_byte_share_is_finite() {
+        let xs: Vec<f64> = (1..=20).map(|i| i as f64 * 1.0e8).collect();
+        let ys: Vec<f64> = xs.iter().map(|&x| 1.0 + x / 75.0e6).collect();
+        let f = fit_model(ModelKind::LogQuad, &xs, &ys);
+        assert!(f.a > 0.0, "{f:?}");
+        assert!(f.predict(0.0).is_finite());
+        assert_eq!(f.predict(0.0), f.predict(1.0));
+
+        // Two 1 GB files meet the deadline one per instance, but the
+        // adjusted deadline sizes three instances: the third runs the
+        // zero-byte file alone.
+        let mut files = corpus(2, 1_000_000_000);
+        files.push(FileSpec::new(2, 0));
+        let deadline = f.predict(1.0e9) * 1.001;
+        let plan = make_plan(
+            Strategy::AdjustedDeadline { p_miss: 0.05 },
+            &files,
+            &f,
+            deadline,
+        )
+        .unwrap();
+        assert_eq!(plan.instance_count(), 3, "{plan:?}");
+        assert!(plan.instances.iter().any(|s| s.volume == 0));
+        assert!(plan.predicted_feasible(), "{plan:?}");
+        assert!(expected_plan_cost(&plan, 1.0) < u64::MAX as f64);
     }
 
     #[test]

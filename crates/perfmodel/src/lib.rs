@@ -31,8 +31,8 @@ pub mod weighted;
 pub use crossval::{cross_validate, select_by_cross_validation, CvScore};
 pub use deadline::{adjusted_deadline, adjustment_factor, inverse_normal_cdf, ResidualStats};
 pub use probe::{
-    build_probe_chain, build_probe_chain_par, choose_unit_size, ProbeCampaign, ProbePoint,
-    ProbeSetResult, UnitSize,
+    build_probe_chain, build_probe_chain_par, choose_unit_size, unit_files, ProbeCampaign,
+    ProbePoint, ProbeSetResult, UnitSize,
 };
 pub use regression::{fit, fit_all, select_best, try_fit, Fit, FitError, ModelKind};
 pub use stats::Measurement;

@@ -10,7 +10,7 @@
 //! over `i` is exhaustive, but uniform bins are a heuristic packing, so the
 //! best fleet found is not guaranteed optimal when files are lumpy.
 
-use crate::plan::{file_items, Plan};
+use crate::plan::Plan;
 use crate::pricing::{instance_hours, PricingModel};
 use corpus::FileSpec;
 use perfmodel::Fit;
@@ -45,10 +45,9 @@ pub fn plan_within_budget(
     assert!(budget >= 0.0, "budget must be non-negative");
     assert!(max_instances >= 1, "need at least one instance allowed");
     let total: u64 = files.iter().map(|f| f.size).sum();
-    let items = file_items(files);
     let mut best: Option<BudgetPlan> = None;
     for i in 1..=max_instances {
-        let packing = binpack::uniform_k_bins(&items, i);
+        let packing = binpack::uniform_k_bins(files, i);
         let mut plan = Plan::from_packing(files, &packing, fit, 0.0, 0.0, total.div_ceil(i as u64));
         let makespan = plan.predicted_makespan();
         if makespan <= 0.0 || !makespan.is_finite() {

@@ -1,19 +1,9 @@
 //! Execution plans: which instance processes which files.
 
-use binpack::{Item, Packing};
+use binpack::Packing;
 use corpus::FileSpec;
 use perfmodel::Fit;
 use serde::{Deserialize, Serialize};
-
-/// `files` as packing items whose ids are their positions, the numbering
-/// [`Plan::from_packing`] reads back.
-pub fn file_items(files: &[FileSpec]) -> Vec<Item> {
-    files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| Item::new(i as u64, f.size))
-        .collect()
-}
 
 /// One instance's share of the workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,7 +61,7 @@ impl Plan {
     }
 
     /// Assemble a plan that gives each bin of `packing`, a packing of
-    /// [`file_items`]`(files)`, to one instance.
+    /// `files`, to one instance.
     pub fn from_packing(
         files: &[FileSpec],
         packing: &Packing,
@@ -81,9 +71,8 @@ impl Plan {
         volume_per_instance: u64,
     ) -> Self {
         let bins = packing
-            .bins
-            .iter()
-            .map(|b| b.items.iter().map(|it| files[it.id as usize]).collect())
+            .bins()
+            .map(|b| b.items(files).copied().collect())
             .collect();
         Plan::from_bins(
             bins,

@@ -1,7 +1,7 @@
 //! Planning strategies — the variants compared across Figs 8 and 9.
 
 use crate::error::ProvisionError;
-use crate::plan::{file_items, Plan};
+use crate::plan::Plan;
 use binpack::{first_fit, uniform_k_bins, Packing};
 use corpus::FileSpec;
 use perfmodel::Fit;
@@ -117,11 +117,10 @@ impl Sizing {
         }
     }
 
-    /// The uniform packing of [`file_items`]`(files)` into
-    /// [`Sizing::bins`] bins. It depends on the sizing only through that
-    /// bin count.
+    /// The uniform packing of `files` into [`Sizing::bins`] bins. It
+    /// depends on the sizing only through that bin count.
     pub fn pack(&self, files: &[FileSpec]) -> Packing {
-        uniform_k_bins(&file_items(files), self.bins(files.len()))
+        uniform_k_bins(files, self.bins(files.len()))
     }
 
     /// The uniform plan of `files` at this sizing under `fit`.
@@ -129,8 +128,8 @@ impl Sizing {
         self.plan_packed(files, &self.pack(files), fit)
     }
 
-    /// The plan that runs each bin of `packing`, a packing of
-    /// [`file_items`]`(files)`, on one instance.
+    /// The plan that runs each bin of `packing`, a packing of `files`, on
+    /// one instance.
     pub fn plan_packed(&self, files: &[FileSpec], packing: &Packing, fit: &Fit) -> Plan {
         Plan::from_packing(
             files,
@@ -165,7 +164,7 @@ pub fn make_plan(
             // Fill instances to x₀ in input order; the fleet size is
             // whatever the packing needs.
             let sizing = Sizing::uniform(total, fit, deadline_secs)?;
-            let packing = first_fit(&file_items(files), sizing.volume_per_instance);
+            let packing = first_fit(files, sizing.volume_per_instance);
             Ok(sizing.plan_packed(files, &packing, fit))
         }
         Strategy::UniformBins => Ok(Sizing::uniform(total, fit, deadline_secs)?.plan(files, fit)),
@@ -329,7 +328,7 @@ mod tests {
                     planning_deadline_secs: 9.0,
                     volume_per_instance: 1_000_000,
                 };
-                let unclamped = uniform_k_bins(&file_items(&files), fleet as usize);
+                let unclamped = uniform_k_bins(&files, fleet as usize);
                 let want = sizing.plan_packed(&files, &unclamped, &m);
                 let got = sizing.plan(&files, &m);
                 prop_assert_eq!(&got, &want, "seed {}: fleet {} over {} files", seed, fleet, n);

@@ -129,9 +129,10 @@ fn containers_for_trace(seed: u64) -> Vec<u8> {
     }
     let out = packer.finish(trace.duration_secs());
     let mut blob = Vec::new();
-    for bin in &out.packing.bins {
+    for bin in out.packing.bins() {
         let container = container_from_bin(
             bin,
+            &out.items,
             |it| format!("file-{:08}", it.id),
             |it| {
                 // Synthetic payload: deterministic bytes of the recorded size.
@@ -142,7 +143,7 @@ fn containers_for_trace(seed: u64) -> Vec<u8> {
         // Each blob must stand alone as a valid container.
         let parsed = Container::parse(&container).expect("container parses");
         parsed.verify().expect("member checksums hold");
-        assert_eq!(parsed.member_count(), bin.items.len());
+        assert_eq!(parsed.member_count(), bin.len());
         blob.extend_from_slice(&container);
     }
     blob

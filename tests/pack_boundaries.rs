@@ -51,9 +51,9 @@ fn boundary_counts_conserve_bytes_and_ignore_parallelism() {
         let items = items(n);
         let expect: u64 = items.iter().map(|i| i.size).sum();
         let seq = pack_for_reshape(&items, TARGET, Parallelism::Sequential);
-        let total: u64 = seq.bins.iter().map(|b| b.used).sum();
+        let total: u64 = seq.bins().map(|b| b.used()).sum();
         assert_eq!(total, expect, "bytes lost at n={n}");
-        let count: usize = seq.bins.iter().map(|b| b.items.len()).sum();
+        let count: usize = seq.bins().map(|b| b.len()).sum();
         assert_eq!(count, n, "items lost at n={n}");
         for par in [Parallelism::Rayon(0), Parallelism::Rayon(5)] {
             assert_eq!(

@@ -19,7 +19,7 @@ use corpus::hash::splitmix64;
 fn assert_fast_matches_naive(items: &[Item], capacity: u64, what: &str) {
     let fast = subset_sum_first_fit(items, capacity);
     let naive = naive_subset_sum_first_fit(items, capacity);
-    let first_diff = fast.bins.iter().zip(&naive.bins).position(|(f, n)| f != n);
+    let first_diff = fast.bins().zip(naive.bins()).position(|(f, n)| f != n);
     assert!(
         fast == naive,
         "{what}: fast {} bins, naive {} bins, first differing bin {first_diff:?}",
@@ -81,9 +81,8 @@ fn equal_sizes_keep_input_order_and_match_naive() {
         // Among equal sizes the scan takes the earliest position first, so
         // bins hold consecutive runs of the input.
         let ids: Vec<u64> = fast
-            .bins
-            .iter()
-            .flat_map(|b| b.items.iter().map(|i| i.id))
+            .bins()
+            .flat_map(|b| b.items(&items).map(|i| i.id))
             .collect();
         assert_eq!(
             ids,

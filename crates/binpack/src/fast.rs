@@ -5,12 +5,13 @@
 //! produces a **bitwise identical** [`Packing`] — same bins, same order,
 //! same members — it only changes how the next placement is found:
 //!
-//! * [`subset_sum_first_fit`][]: one stable LSD radix sort puts the items
-//!   in the reference's scan order (size descending, then position), and
-//!   each "largest remaining item that still fits" draw is a galloping
-//!   search forward over that order plus a next-untaken union-find lookup,
-//!   instead of a rescan of the whole list per bin. O(n²) → O(n log n)
-//!   worst case, over flat arrays only (timings in
+//! * [`subset_sum_first_fit`][]: one word per fitting item,
+//!   `(top − size) << b | position`, and one stable LSD radix sort of those
+//!   words put the items in the reference's scan order (size descending,
+//!   then position); each "largest remaining item that still fits" draw is
+//!   a galloping search forward over the sorted words plus a next-untaken
+//!   union-find lookup, instead of a rescan of the whole list per bin.
+//!   O(n²) → O(n log n) worst case, over flat arrays only (timings in
 //!   `results/BENCH_packing.json`).
 //! * [`first_fit`][]: "first open bin with room" runs against a max
 //!   segment tree over per-bin free space ([`crate::segtree`]) instead of a
@@ -39,10 +40,13 @@
 //! naive kernels guarantee, with no per-bin sort. Together with the
 //! on-demand-grown segment tree (sized to *bins*, not items) this keeps
 //! the transient footprint at paper scale (18M items) to one `u32` per
-//! item plus the index structures. Subset-sum's index structures are three
-//! flat arrays — an 8-byte sort key, a `u32` position and a `u32`
-//! union-find link per fitting item — plus a second buffer for the first
-//! two while the radix sort runs. The sharded pack
+//! item plus the index structures. Subset-sum's index structure is one
+//! array of 8-byte words, each a sort key above its item's position, that
+//! the radix sort and the greedy draws both read. A fitting item costs 20
+//! bytes at most: its word, its slot in the radix sort's second buffer and
+//! its bin slot while the sort runs; the buffer is freed before the draws
+//! allocate the `u32` union-find link. Keys whose bits, with the
+//! position's, exceed 64 take 16-byte words. The sharded pack
 //! ([`crate::pack_sharded`]) lays each shard's members straight into that
 //! shard's range of the one output array.
 //!
@@ -104,19 +108,46 @@ pub(crate) fn subset_sum_assign<T: Size>(items: &[T], capacity: u64) -> Assignme
     let mut a = Assignment::by_position(items.len());
 
     // Oversize items pass through untouched, in input order, ahead of every
-    // merged bin.
+    // merged bin. The fitting ones give the largest and smallest fitting
+    // size and their count.
+    let (mut top, mut low, mut fitting) = (0, u64::MAX, 0);
     for (pos, item) in items.iter().enumerate() {
-        if item.size() > capacity {
+        let size = item.size();
+        if size > capacity {
             let bin = a.open();
-            a.set(pos, bin, item.size());
+            a.set(pos, bin, size);
+        } else {
+            top = top.max(size);
+            low = low.min(size);
+            fitting += 1;
         }
     }
+    if fitting == 0 {
+        return a;
+    }
+    let span = top - low;
+    if bit_width(span) + position_bits(items.len()) <= u64::BITS {
+        draw::<u64, T>(items, capacity, top, span, fitting, a)
+    } else {
+        draw::<u128, T>(items, capacity, top, span, fitting, a)
+    }
+}
 
-    // The reference's scan order: keys[k] = top − size ascending is size
-    // descending, and the stable sort keeps equal sizes in input order.
-    let (top, keys, order) = sorted_by_size_descending(items, capacity);
-    let m = order.len();
-    // next[k] is k while the k-th item is untaken; taking it links k to
+/// The greedy draws over the sorted words: bin after bin, the first
+/// untaken word whose item fits what is left of the bin.
+fn draw<W: Word, T: Size>(
+    items: &[T],
+    capacity: u64,
+    top: u64,
+    span: u64,
+    fitting: usize,
+    mut a: Assignment,
+) -> Assignment {
+    let b = position_bits(items.len());
+    let position_mask = (1 << b) - 1;
+    let words: Vec<W> = sorted_words(items, capacity, top, span, fitting, b);
+    let m = words.len();
+    // next[k] is k while the k-th word is untaken; taking it links k to
     // k + 1. Slot m is the sentinel "none left".
     let mut next: Vec<u32> = (0..=index_u32(m)).collect();
     let mut left = m;
@@ -125,19 +156,27 @@ pub(crate) fn subset_sum_assign<T: Size>(items: &[T], capacity: u64) -> Assignme
         let mut free = capacity;
         let mut from = 0;
         loop {
-            // Every untaken item before `from` was too large for this bin
+            // An item fits when its key is at least top − free. Above the
+            // span none does, and shifting that threshold into a word could
+            // drop its high bits.
+            let least = top.saturating_sub(free);
+            if least > span {
+                break;
+            }
+            // Every untaken word before `from` was too large for this bin
             // at an earlier draw, and `free` only shrinks, so the first
-            // untaken item from the first fitting index on is the one the
+            // untaken word from the first fitting index on is the one the
             // descending scan takes.
-            let fits = gallop(&keys, from, top.saturating_sub(free));
+            let fits = gallop(&words, from, W::new(least, 0, b));
             let pick = next_untaken(&mut next, fits);
             if pick == m {
                 break;
             }
             next[pick] = index_u32(pick + 1);
-            let size = top - keys[pick];
+            let word = words[pick];
+            let size = top - word.bits_from(b);
             free -= size;
-            a.set(order[pick] as usize, bin, size);
+            a.set((word.bits_from(0) & position_mask) as usize, bin, size);
             left -= 1;
             if free == 0 || left == 0 {
                 break;
@@ -148,75 +187,121 @@ pub(crate) fn subset_sum_assign<T: Size>(items: &[T], capacity: u64) -> Assignme
     a
 }
 
-/// Bits per radix digit: 2¹¹ counters fit in L1, and HTML_18mil's file
-/// sizes (up to 43 MB) sort in three passes.
-const DIGIT_BITS: u32 = 11;
+/// Significant bits of `x`: 0 for 0, else one past the highest set bit.
+fn bit_width(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
 
-/// The positions of the items that fit `capacity`, ordered by size
-/// descending and then by position, as `(top, keys, positions)` with
-/// `keys[k] = top − size` ascending and `top` the largest fitting size.
-///
-/// A stable LSD radix sort on the key: it runs only as many digit passes as
-/// the key span needs, and every pass reads both arrays in order.
-fn sorted_by_size_descending<T: Size>(items: &[T], capacity: u64) -> (u64, Vec<u64>, Vec<u32>) {
-    let fitting = || items.iter().map(Size::size).filter(|&s| s <= capacity);
-    let top = fitting().max().unwrap_or(0);
-    let mut keys: Vec<u64> = fitting().map(|s| top - s).collect();
-    let mut order: Vec<u32> = (0..index_u32(items.len()))
-        .filter(|&p| items[p as usize].size() <= capacity)
-        .collect();
-    let span = keys.iter().copied().max().unwrap_or(0);
-    let passes = (u64::BITS - span.leading_zeros()).div_ceil(DIGIT_BITS);
-    let digit = |key: u64, shift: u32| (key >> shift) as usize & ((1 << DIGIT_BITS) - 1);
-    let mut keys_out = vec![0u64; keys.len()];
-    let mut order_out = vec![0u32; order.len()];
-    for pass in 0..passes {
-        let shift = pass * DIGIT_BITS;
-        let mut start = [0usize; 1 << DIGIT_BITS];
-        for &key in &keys {
-            start[digit(key, shift)] += 1;
+/// The bits a position into `n > 0` items takes in a word.
+fn position_bits(n: usize) -> u32 {
+    bit_width(n as u64 - 1)
+}
+
+/// A sort word `key << b | position`, `b` = [`position_bits`]: comparing
+/// words compares keys first and positions second. A `u64` holds it when
+/// the key span's bits and `b` fit in 64; a `u128` always does.
+trait Word: Copy + Ord + Default {
+    /// The word of `key` at position `pos`, which must fit `b` bits.
+    fn new(key: u64, pos: usize, b: u32) -> Self;
+    /// The low 64 bits of the word shifted right by `shift`: the key when
+    /// `shift` is `b`, the position (under a mask) when it is 0.
+    fn bits_from(self, shift: u32) -> u64;
+}
+
+macro_rules! word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            #[inline]
+            fn new(key: u64, pos: usize, b: u32) -> Self {
+                (<$t>::from(key) << b) | pos as $t
+            }
+            #[inline]
+            fn bits_from(self, shift: u32) -> u64 {
+                (self >> shift) as u64
+            }
         }
+    )*};
+}
+word!(u64, u128);
+
+/// Bits per radix digit: 2¹³ `u32` counters (32 KB) fit in L1, and
+/// HTML_18mil's 26-bit key span sorts in two passes.
+const DIGIT_BITS: u32 = 13;
+
+/// The words `(top − size) << b | position` of the `fitting` items of at
+/// most `capacity` bytes, in the reference's scan order: key ascending
+/// (size descending), then position.
+///
+/// A stable LSD radix sort over the key bits only: as many digit passes
+/// as the key span needs, each over one array and its buffer. The pass that
+/// builds the words, in position order, counts every digit's histogram.
+fn sorted_words<T: Size, W: Word>(
+    items: &[T],
+    capacity: u64,
+    top: u64,
+    span: u64,
+    fitting: usize,
+    b: u32,
+) -> Vec<W> {
+    const MASK: u64 = (1 << DIGIT_BITS) - 1;
+    let passes = bit_width(span).div_ceil(DIGIT_BITS) as usize;
+    let mut counts = vec![[0u32; 1 << DIGIT_BITS]; passes];
+    let mut words = Vec::with_capacity(fitting);
+    for (pos, item) in items.iter().enumerate() {
+        let size = item.size();
+        if size <= capacity {
+            let key = top - size;
+            let mut digits = key;
+            for count in &mut counts {
+                count[(digits & MASK) as usize] += 1;
+                digits >>= DIGIT_BITS;
+            }
+            words.push(W::new(key, pos, b));
+        }
+    }
+    let mut buffer = vec![W::default(); words.len()];
+    let mut shift = b;
+    for mut start in counts {
         let mut sum = 0;
         for slot in start.iter_mut() {
             let count = *slot;
             *slot = sum;
             sum += count;
         }
-        for (&key, &pos) in keys.iter().zip(&order) {
-            let d = digit(key, shift);
-            keys_out[start[d]] = key;
-            order_out[start[d]] = pos;
+        for &word in &words {
+            let d = (word.bits_from(shift) & MASK) as usize;
+            buffer[start[d] as usize] = word;
             start[d] += 1;
         }
-        std::mem::swap(&mut keys, &mut keys_out);
-        std::mem::swap(&mut order, &mut order_out);
+        std::mem::swap(&mut words, &mut buffer);
+        shift += DIGIT_BITS;
     }
-    (top, keys, order)
+    words
 }
 
-/// The first index at or after `from` (at most `keys.len()`) whose key is
-/// at least `threshold`, or `keys.len()` when none is: an exponential probe
+/// The first index at or after `from` (at most `words.len()`) whose word is
+/// at least `threshold`, or `words.len()` when none is: an exponential probe
 /// forward from `from`, then a binary search inside the last step. Costs
 /// O(log distance).
-fn gallop(keys: &[u64], from: usize, threshold: u64) -> usize {
-    if from == keys.len() || keys[from] >= threshold {
+fn gallop<W: Word>(words: &[W], from: usize, threshold: W) -> usize {
+    if from == words.len() || words[from] >= threshold {
         return from;
     }
-    // keys[lo] < threshold throughout; the answer lies in (lo, hi].
+    // words[lo] < threshold throughout; the answer lies in (lo, hi].
     let mut lo = from;
     let mut step = 1;
     let hi = loop {
         let probe = lo + step;
-        if probe >= keys.len() {
-            break keys.len();
+        if probe >= words.len() {
+            break words.len();
         }
-        if keys[probe] >= threshold {
+        if words[probe] >= threshold {
             break probe;
         }
         lo = probe;
         step *= 2;
     };
-    lo + 1 + keys[lo + 1..hi].partition_point(|&k| k < threshold)
+    lo + 1 + words[lo + 1..hi].partition_point(|&w| w < threshold)
 }
 
 /// The first untaken index at or after `k`, halving the path it walks.

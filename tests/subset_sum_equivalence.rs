@@ -3,10 +3,12 @@
 //! below 5,000 bytes and the awkward-mix unit tests stop at 4,096 items, so
 //! these cases cover what lies beyond both:
 //!
-//! * sizes up to 2⁴⁴ at capacity 2⁴³, so a sort on the size needs four or
-//!   more 11-bit digits, some items are oversize, and the total still fits
-//!   a `u64`;
-//! * key spans just below and at each 11-bit digit boundary;
+//! * sizes up to 2⁴⁴ at capacity 2⁴³, so the sort needs four 13-bit
+//!   digits, some items are oversize, and the total still fits a `u64`;
+//! * key spans just below and at 2¹¹, 2²², 2³³ and 2⁴⁴, and at each 13-bit
+//!   digit boundary;
+//! * sort words of 63, 64 and 65 bits, and sizes near 2⁵³ whose fit
+//!   threshold outgrows a word;
 //! * runs of equal sizes, where only input position breaks ties;
 //! * zero-size items around exact-capacity items;
 //! * 65,536 HTML_18mil-shaped items at two unit sizes.
@@ -138,5 +140,84 @@ fn html_18mil_shaped_items_match_naive() {
     assert!(items.iter().any(|i| i.size > 2_000_000), "no oversize file");
     for cap in [10_000_000, 2_000_000] {
         assert_fast_matches_naive(&items, cap, &format!("HTML_18mil-shaped, cap={cap}"));
+    }
+}
+
+// The kernel sorts and scans one word per fitting item, `key << b |
+// position` with key = top − size and b the bit width of the largest
+// position (n − 1 for n items): a `u64` while the key span's bits plus b
+// fit in 64, a `u128` beyond. It radix-sorts the key bits in 13-bit
+// digits. The pins below sit on both sides of each of those limits.
+
+/// The sizes `floor + span·t` for a seeded spread of t in [0, 1], with
+/// both ends of the span present, so the fitting key span is exactly
+/// `span`. Fails when the total would not fit a `u64`.
+fn exact_span_sizes(n: usize, floor: u64, span: u64, seed: u64) -> Vec<u64> {
+    let mut sizes = uniform_sizes(n, floor, floor + span, seed);
+    sizes[0] = floor;
+    sizes[1] = floor + span;
+    assert!(
+        sizes
+            .iter()
+            .try_fold(0u64, |t, &s| t.checked_add(s))
+            .is_some(),
+        "total of {n} sizes over span {span} overflows u64"
+    );
+    sizes
+}
+
+#[test]
+fn key_spans_at_13_bit_digit_boundaries_match_naive() {
+    // A key span of 2^k - 1 sorts in ⌈k/13⌉ digits; 2^k needs one more bit.
+    for bits in [13u32, 26, 39] {
+        for span in [(1u64 << bits) - 1, 1u64 << bits] {
+            let floor = 1u64 << 12;
+            let sizes = exact_span_sizes(2_000, floor, span, u64::from(bits) ^ span);
+            let cap = floor + span;
+            assert_fast_matches_naive(
+                &Item::from_sizes(&sizes),
+                cap,
+                &format!("2,000 items, key span {span} (2^{bits} side), cap={cap}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn key_plus_position_bits_around_64_match_naive() {
+    // 8,192 items: positions take 13 bits, so key spans of 2^50 - 1, 2^50
+    // and 2^51 make words of 63, 64 and 65 bits; the last takes the wide
+    // word. The capacity holds several of the largest items, which keeps
+    // the quadratic reference's bin count down.
+    const N: usize = 8_192;
+    for (span, word_bits) in [((1u64 << 50) - 1, 63), (1u64 << 50, 64), (1u64 << 51, 65)] {
+        let floor = 1u64 << 12;
+        let sizes = exact_span_sizes(N, floor, span, span ^ 0xb175);
+        let cap = 4 * (floor + span);
+        assert_fast_matches_naive(
+            &Item::from_sizes(&sizes),
+            cap,
+            &format!("{N} items, key span {span}, {word_bits}-bit words, cap={cap}"),
+        );
+    }
+}
+
+#[test]
+fn large_sizes_with_a_small_key_span_match_naive() {
+    // 1,100 items of 2^53 + x, x < 1,000: a 10-bit key span under 11
+    // position bits, but top − free reaches 54 bits once a bin holds two
+    // items, so it must not be shifted into a word unclamped. The capacity
+    // takes two items with room left over, and the total stays below 2^64.
+    const BASE: u64 = 1 << 53;
+    let sizes: Vec<u64> = (0..1_100u64)
+        .map(|i| BASE + splitmix64(i ^ 0xc1a3) % 1_000)
+        .collect();
+    for spare in [0, 700, 1_500] {
+        let cap = 2 * BASE + spare;
+        assert_fast_matches_naive(
+            &Item::from_sizes(&sizes),
+            cap,
+            &format!("1,100 items of 2^53 + x (x < 1,000), cap=2^54 + {spare}"),
+        );
     }
 }

@@ -49,6 +49,12 @@ impl Default for Parallelism {
 impl Parallelism {
     /// Run `f` under this parallelism setting: any parallel iterator used
     /// inside is bounded to the selected worker count.
+    ///
+    /// Cheap to call per sweep: the vendored `rayon` builds no pool and
+    /// starts no thread here. Its `ThreadPool` only stores the worker
+    /// count, `install` sets it in a thread-local for the duration of `f`,
+    /// and each parallel call inside starts and joins its own scoped
+    /// threads.
     pub fn install<R>(self, f: impl FnOnce() -> R) -> R {
         let workers = match self {
             Parallelism::Sequential => 1,

@@ -82,11 +82,18 @@ impl SizeDistribution for Pareto {
 }
 
 /// Zipf distribution over ranks `1..=n` with exponent `s`, sampled by
-/// binary search over the precomputed CDF. Used for word frequencies in the
-/// text generator.
+/// searching the precomputed CDF. Used for word frequencies in the text
+/// generator.
+///
+/// A guide table splits `[0, 1)` into `B` equal buckets, `B` the power of
+/// two at or above `n`, and records where each bucket's CDF entries start.
+/// A draw `u` in bucket `b` searches only `guide[b]..guide[b + 1]`, a few
+/// entries, and finds the rank a binary search of the whole CDF returns.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[b]` counts the CDF entries below `b / B`; `guide[B]` is `n`.
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -104,15 +111,34 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        // A power of two keeps `b / B` and `u * B` exact.
+        let buckets = n.next_power_of_two();
+        let mut guide: Vec<usize> = (0..buckets)
+            .map(|b| cdf.partition_point(|p| *p < b as f64 / buckets as f64))
+            .collect();
+        guide.push(n);
+        Zipf { cdf, guide }
     }
 
     /// Draw a rank in `0..n` (0 = most frequent).
     pub fn sample_rank(&self, rng: &mut impl Rng) -> usize {
-        let u: f64 = rng.random();
-        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.rank_of(rng.random())
+    }
+
+    /// The rank of the uniform draw `u`: the last entry equal to `u` if
+    /// there is one, else the first entry above it, else the last rank.
+    /// That is what `binary_search_by(total_cmp)` over the whole CDF
+    /// returns (`Ok` or `Err`, clamped).
+    fn rank_of(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let b = ((u * buckets as f64) as usize).min(buckets - 1);
+        let (lo, hi) = (self.guide[b], self.guide[b + 1]);
+        // Entries before `lo` lie below b / B <= u and entries from `hi`
+        // on at or above (b + 1) / B > u, so `j` counts the entries <= u.
+        let j = lo + self.cdf[lo..hi].partition_point(|p| p.total_cmp(&u).is_le());
+        match j.checked_sub(1) {
+            Some(i) if self.cdf[i].total_cmp(&u).is_eq() => i,
+            _ => j.min(self.cdf.len() - 1),
         }
     }
 }
@@ -258,6 +284,32 @@ mod tests {
         // Zipf law rough check: rank0/rank9 ≈ 10
         let ratio = counts[0] as f64 / counts[9].max(1) as f64;
         assert!(ratio > 5.0 && ratio < 20.0, "ratio {ratio}");
+    }
+
+    /// The rank a binary search of the whole CDF returns.
+    fn full_search_rank(z: &Zipf, u: f64) -> usize {
+        match z.cdf.binary_search_by(|p| p.total_cmp(&u)) {
+            Ok(i) => i,
+            Err(i) => i.min(z.cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn guided_rank_matches_the_full_binary_search() {
+        let text = crate::TextParams::default();
+        // s = 4 leaves thousands of tail entries equal at 1.0.
+        for (n, s) in [(text.vocab_size, text.zipf_s), (1_000, 1.0), (20_000, 4.0)] {
+            let z = Zipf::new(n, s);
+            let mut us = vec![0.0, 1.0f64.next_down()];
+            for &p in &z.cdf {
+                us.extend([p, p.next_up(), p.next_down()]);
+            }
+            let mut r = StdRng::seed_from_u64(n as u64);
+            us.extend((0..1_000_000).map(|_| r.random::<f64>()));
+            for u in us {
+                assert_eq!(z.rank_of(u), full_search_rank(&z, u), "n={n} s={s} u={u:e}");
+            }
+        }
     }
 
     #[test]

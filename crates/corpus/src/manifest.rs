@@ -107,11 +107,6 @@ impl Manifest {
         Manifest::new(format!("{}[prefix≈{volume}B]", self.name), out, self.seed)
     }
 
-    /// Sizes of all files, in order — the packing input.
-    pub fn sizes(&self) -> Vec<u64> {
-        self.files.iter().map(|f| f.size).collect()
-    }
-
     /// Mean file size (0 for empty).
     pub fn mean_file_size(&self) -> f64 {
         if self.files.is_empty() {

@@ -58,9 +58,11 @@ fn wide_sizes_with_oversize_items_match_naive() {
 
 #[test]
 fn key_spans_at_digit_boundaries_match_naive() {
-    // A fitting size span of 2^k - 1 needs exactly ⌈k/11⌉ digits; 2^k needs
-    // one more bit. Both sides of each boundary, with a floor above zero so
-    // the span, not the largest size, sets the digit count.
+    // Key spans of 2^k - 1 and 2^k, k a multiple of 11: 2^k needs one more
+    // bit. The kernel sorts 13-bit digits, so these are not its digit
+    // boundaries; `key_spans_at_13_bit_digit_boundaries_match_naive` pins
+    // those. A floor above zero lets the span, not the largest size, set
+    // the key width.
     for bits in [11u32, 22, 33, 44] {
         for span in [(1u64 << bits) - 1, 1u64 << bits] {
             let floor = 1u64 << 12;

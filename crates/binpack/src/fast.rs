@@ -459,8 +459,9 @@ mod tests {
     use super::*;
     use crate::item::Item;
     use crate::kbins::naive_uniform_k_bins;
-    use crate::pack::{first_fit_decreasing, naive_best_fit, naive_first_fit};
+    use crate::pack::{naive_best_fit, naive_first_fit};
     use crate::subset_sum::naive_subset_sum_first_fit;
+    use crate::Algorithm;
 
     /// A deterministic pseudo-random size mix with zeros, duplicates and
     /// oversize values — the awkward cases for index-structure rewrites.
@@ -544,7 +545,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(
-            ids(&first_fit_decreasing(&items, 1000), &items),
+            ids(&Algorithm::FirstFitDecreasing.pack(&items, 1000), &items),
             ids(&first_fit(&sorted, 1000), &sorted)
         );
     }

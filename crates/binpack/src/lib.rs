@@ -65,9 +65,7 @@ pub use derive::derive_merged;
 pub use fast::{best_fit, first_fit, subset_sum_first_fit, uniform_k_bins};
 pub use item::{Bin, Item, ItemId, Size};
 pub use kbins::{naive_uniform_k_bins, rebalance_uniform};
-pub use pack::{
-    first_fit_decreasing, naive_best_fit, naive_first_fit, next_fit, worst_fit, Packing,
-};
+pub use pack::{naive_best_fit, naive_first_fit, Packing};
 pub use parallel::{pack_sharded, shard_ranges, MergePolicy, Parallelism, ShardedConfig};
 pub use stats::PackingStats;
 pub use stream::{

@@ -295,16 +295,6 @@ pub fn naive_first_fit<T: Size>(items: &[T], capacity: u64) -> Packing {
     a.into_packing(capacity)
 }
 
-/// First fit decreasing: sort sizes descending (stable by input position for
-/// ties), then run first fit. Produces fuller bins than in-order first fit
-/// but front-loads the large files.
-///
-/// Sorts an index slice rather than a cloned item vector: at paper scale the
-/// clone is 16 bytes/item of pure churn, the index slice is 4.
-pub fn first_fit_decreasing<T: Size>(items: &[T], capacity: u64) -> Packing {
-    crate::Algorithm::FirstFitDecreasing.pack(items, capacity)
-}
-
 /// Best fit: each item goes to the open bin where it leaves the least free
 /// space; ties broken by earliest bin.
 ///
@@ -325,10 +315,6 @@ pub fn naive_best_fit<T: Size>(items: &[T], capacity: u64) -> Packing {
 }
 
 /// Next fit: only the most recently opened bin is ever considered.
-pub fn next_fit<T: Size>(items: &[T], capacity: u64) -> Packing {
-    crate::Algorithm::NextFit.pack(items, capacity)
-}
-
 pub(crate) fn next_fit_assign<T: Size>(items: &[T], capacity: u64) -> Assignment {
     assert!(capacity > 0, "bin capacity must be positive");
     let mut a = Assignment::in_order(items.len());
@@ -347,10 +333,6 @@ pub(crate) fn next_fit_assign<T: Size>(items: &[T], capacity: u64) -> Assignment
 /// Worst fit: each item goes to the open bin with the **most** free space
 /// that still fits it; among equally empty bins the latest wins. Spreads
 /// load evenly.
-pub fn worst_fit<T: Size>(items: &[T], capacity: u64) -> Packing {
-    crate::Algorithm::WorstFit.pack(items, capacity)
-}
-
 pub(crate) fn worst_fit_assign<T: Size>(items: &[T], capacity: u64) -> Assignment {
     assert!(capacity > 0, "bin capacity must be positive");
     let mut a = Assignment::in_order(items.len());
@@ -369,6 +351,7 @@ pub(crate) fn worst_fit_assign<T: Size>(items: &[T], capacity: u64) -> Assignmen
 mod tests {
     use super::*;
     use crate::item::Item;
+    use crate::Algorithm;
 
     fn items(sizes: &[u64]) -> Vec<Item> {
         Item::from_sizes(sizes)
@@ -395,7 +378,7 @@ mod tests {
     fn ffd_uses_fewer_or_equal_bins_here() {
         let sizes = [5, 7, 5, 2, 4, 2, 5, 1, 6];
         let ff = naive_first_fit(&items(&sizes), 10);
-        let ffd = first_fit_decreasing(&items(&sizes), 10);
+        let ffd = Algorithm::FirstFitDecreasing.pack(&items(&sizes), 10);
         assert!(ffd.len() <= ff.len());
         assert_eq!(ffd.total_size(), ff.total_size());
     }
@@ -403,7 +386,7 @@ mod tests {
     #[test]
     fn ffd_front_loads_large_items() {
         let its = items(&[1, 9, 2, 8]);
-        let p = first_fit_decreasing(&its, 10);
+        let p = Algorithm::FirstFitDecreasing.pack(&its, 10);
         assert_eq!(sizes_of(&p, &its, 0)[0], 9);
     }
 
@@ -419,7 +402,7 @@ mod tests {
     #[test]
     fn worst_fit_prefers_emptiest_bin() {
         let its = items(&[6, 8, 2]);
-        let p = worst_fit(&its, 10);
+        let p = Algorithm::WorstFit.pack(&its, 10);
         assert_eq!(p.len(), 2);
         assert_eq!(sizes_of(&p, &its, 0), vec![6, 2]);
     }
@@ -428,13 +411,13 @@ mod tests {
     fn worst_fit_breaks_ties_toward_the_latest_bin() {
         // Bins of 6 and 6 have equal room; the 2 joins the second.
         let its = items(&[6, 6, 2]);
-        let p = worst_fit(&its, 10);
+        let p = Algorithm::WorstFit.pack(&its, 10);
         assert_eq!(sizes_of(&p, &its, 1), vec![6, 2]);
     }
 
     #[test]
     fn next_fit_never_looks_back() {
-        let p = next_fit(&items(&[6, 8, 2]), 10);
+        let p = Algorithm::NextFit.pack(&items(&[6, 8, 2]), 10);
         // 6 -> bin0; 8 -> bin1; 2 -> fits bin1
         assert_eq!(p.len(), 2);
         assert_eq!(p.bin(1).used(), 10);

@@ -233,11 +233,6 @@ impl StreamPacker {
         &self.config
     }
 
-    /// Bytes buffered in the open segment.
-    pub fn pending_bytes(&self) -> u64 {
-        self.pending_bytes
-    }
-
     /// Segments sealed so far.
     pub fn sealed_segments(&self) -> &[SegmentSummary] {
         &self.segments

@@ -8,7 +8,7 @@
 //! near the published ≈1.72×.
 
 use crate::manifest::FileSpec;
-use crate::text::{TextGenerator, TextParams};
+use crate::text::TextGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -27,7 +27,7 @@ pub struct Book {
 }
 
 fn generate(title: &str, words: usize, complexity: f64, seed: u64) -> Book {
-    let generator = TextGenerator::new(TextParams::default(), seed);
+    let generator = TextGenerator::new(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xB00C);
     let text = generator.words(&mut rng, complexity, words);
     let actual = text.split_whitespace().count();

@@ -143,46 +143,6 @@ impl Zipf {
     }
 }
 
-/// An empirical histogram sampler: bins with counts, sampled by choosing a
-/// bin proportionally to its count then a uniform size within the bin.
-/// Lets tests reconstruct a distribution from published histograms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EmpiricalHistogram {
-    /// `(lower_bound_bytes, upper_bound_bytes, count)` per bin.
-    pub bins: Vec<(u64, u64, u64)>,
-    cumulative: Vec<u64>,
-    total: u64,
-}
-
-impl EmpiricalHistogram {
-    /// Build from `(lo, hi, count)` bins; empty and zero-count bins are
-    /// allowed but the total count must be positive.
-    pub fn new(bins: Vec<(u64, u64, u64)>) -> Self {
-        let mut cumulative = Vec::with_capacity(bins.len());
-        let mut total = 0u64;
-        for &(lo, hi, count) in &bins {
-            assert!(lo < hi, "bin bounds must satisfy lo < hi");
-            total += count;
-            cumulative.push(total);
-        }
-        assert!(total > 0, "histogram must contain at least one observation");
-        EmpiricalHistogram {
-            bins,
-            cumulative,
-            total,
-        }
-    }
-}
-
-impl SizeDistribution for EmpiricalHistogram {
-    fn sample(&self, rng: &mut impl Rng) -> u64 {
-        let t = rng.random_range(0..self.total);
-        let idx = self.cumulative.partition_point(|&c| c <= t);
-        let (lo, hi, _) = self.bins[idx];
-        rng.random_range(lo..hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,9 +256,9 @@ mod tests {
 
     #[test]
     fn guided_rank_matches_the_full_binary_search() {
-        let text = crate::TextParams::default();
+        use crate::text::{VOCAB_SIZE, ZIPF_S};
         // s = 4 leaves thousands of tail entries equal at 1.0.
-        for (n, s) in [(text.vocab_size, text.zipf_s), (1_000, 1.0), (20_000, 4.0)] {
+        for (n, s) in [(VOCAB_SIZE, ZIPF_S), (1_000, 1.0), (20_000, 4.0)] {
             let z = Zipf::new(n, s);
             let mut us = vec![0.0, 1.0f64.next_down()];
             for &p in &z.cdf {
@@ -310,22 +270,6 @@ mod tests {
                 assert_eq!(z.rank_of(u), full_search_rank(&z, u), "n={n} s={s} u={u:e}");
             }
         }
-    }
-
-    #[test]
-    fn empirical_histogram_matches_bin_masses() {
-        let mut r = rng();
-        let h = EmpiricalHistogram::new(vec![(0, 10, 90), (10, 20, 10)]);
-        let n = 20_000;
-        let low = (0..n).filter(|_| h.sample(&mut r) < 10).count();
-        let frac = low as f64 / n as f64;
-        assert!((frac - 0.9).abs() < 0.02, "frac {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "lo < hi")]
-    fn histogram_rejects_bad_bins() {
-        EmpiricalHistogram::new(vec![(10, 10, 1)]);
     }
 
     #[test]

@@ -31,12 +31,12 @@ mod text;
 
 pub use arrival::{ArrivalConfig, ArrivalOrder, FileEvent, IngestTrace};
 pub use books::{agnes_grey_like, dubliners_like, Book};
-pub use dist::{EmpiricalHistogram, LogNormal, Normal, Pareto, SizeDistribution, Zipf};
+pub use dist::{LogNormal, Normal, Pareto, SizeDistribution, Zipf};
 pub use hist::{histogram, HistogramBin};
 pub use manifest::{FileSpec, Manifest};
 pub use presets::{html_18mil, text_400k};
 pub use sample::sample_by_volume;
-pub use text::{html_bytes, text_bytes, TextGenerator, TextParams};
+pub use text::{html_bytes, text_bytes, TextGenerator};
 
 /// Kilobyte, the paper's base unit for Fig 1(b) bins.
 pub const KB: u64 = 1_000;

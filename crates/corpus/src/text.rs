@@ -14,31 +14,18 @@ use crate::dist::{Normal, Zipf};
 use crate::manifest::FileSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Parameters of the synthetic language.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TextParams {
-    /// Vocabulary size (distinct word forms).
-    pub vocab_size: usize,
-    /// Zipf exponent for word frequencies (≈1 for natural language).
-    pub zipf_s: f64,
-    /// Mean words per sentence at complexity 1.0.
-    pub mean_sentence_len: f64,
-    /// Standard deviation of sentence length.
-    pub sd_sentence_len: f64,
-}
+/// Vocabulary size (distinct word forms).
+pub(crate) const VOCAB_SIZE: usize = 5_000;
 
-impl Default for TextParams {
-    fn default() -> Self {
-        TextParams {
-            vocab_size: 5_000,
-            zipf_s: 1.05,
-            mean_sentence_len: 14.0,
-            sd_sentence_len: 5.0,
-        }
-    }
-}
+/// Zipf exponent for word frequencies (≈1 for natural language).
+pub(crate) const ZIPF_S: f64 = 1.05;
+
+/// Mean words per sentence at complexity 1.0.
+const MEAN_SENTENCE_LEN: f64 = 14.0;
+
+/// Standard deviation of sentence length.
+const SD_SENTENCE_LEN: f64 = 5.0;
 
 const SYLLABLES: &[&str] = &[
     "ka", "ti", "ro", "men", "sal", "vor", "ne", "lu", "dra", "pis", "ton", "gar", "bel", "mi",
@@ -50,18 +37,16 @@ const SYLLABLES: &[&str] = &[
 pub struct TextGenerator {
     vocab: Vec<String>,
     zipf: Zipf,
-    params: TextParams,
     /// Corpus seed: fixes the word forms and each file's word stream.
     seed: u64,
 }
 
 impl TextGenerator {
-    /// Build the vocabulary and frequency table from `params`; `seed` only
-    /// affects word *forms*, not their statistics.
-    pub fn new(params: TextParams, seed: u64) -> Self {
-        assert!(params.vocab_size > 0, "vocabulary must be non-empty");
+    /// Build the `VOCAB_SIZE`-word vocabulary and its Zipf frequency
+    /// table; `seed` only affects word *forms*, not their statistics.
+    pub fn new(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x564f_4341); // "VOCA"
-        let vocab = (0..params.vocab_size)
+        let vocab = (0..VOCAB_SIZE)
             .map(|_| {
                 let syl = rng.random_range(1..=4);
                 (0..syl)
@@ -69,13 +54,8 @@ impl TextGenerator {
                     .collect::<String>()
             })
             .collect();
-        let zipf = Zipf::new(params.vocab_size, params.zipf_s);
-        TextGenerator {
-            vocab,
-            zipf,
-            params,
-            seed,
-        }
+        let zipf = Zipf::new(VOCAB_SIZE, ZIPF_S);
+        TextGenerator { vocab, zipf, seed }
     }
 
     /// Generate one sentence with mean length scaled by `complexity`.
@@ -89,10 +69,7 @@ impl TextGenerator {
     /// holds `limit` bytes. Up to that point the bytes are exactly those
     /// of [`TextGenerator::sentence`].
     fn push_sentence(&self, rng: &mut impl Rng, complexity: f64, out: &mut String, limit: usize) {
-        let len_dist = Normal::new(
-            self.params.mean_sentence_len * complexity.max(0.1),
-            self.params.sd_sentence_len,
-        );
+        let len_dist = Normal::new(MEAN_SENTENCE_LEN * complexity.max(0.1), SD_SENTENCE_LEN);
         let len = len_dist.sample_f64(rng).round().max(1.0) as usize;
         for w in 0..len {
             if out.len() >= limit {
@@ -168,7 +145,7 @@ impl TextGenerator {
 /// Builds the generator for one file; to materialize many files, build one
 /// [`TextGenerator`] and call [`TextGenerator::file_text`].
 pub fn text_bytes(seed: u64, file: &FileSpec) -> Vec<u8> {
-    let text = TextGenerator::new(TextParams::default(), seed).file_text(file);
+    let text = TextGenerator::new(seed).file_text(file);
     text.into_bytes()
 }
 
@@ -185,7 +162,7 @@ pub fn html_bytes(seed: u64, file: &FileSpec) -> Vec<u8> {
         return out;
     }
     let body = size - HEAD.len() - TAIL.len();
-    let generator = TextGenerator::new(TextParams::default(), seed);
+    let generator = TextGenerator::new(seed);
     let text = generator.text(&mut generator.file_rng(file), file.complexity, body);
     [HEAD, text.as_bytes(), TAIL].concat()
 }
@@ -213,7 +190,7 @@ mod tests {
 
     #[test]
     fn complexity_raises_mean_sentence_length() {
-        let generator = TextGenerator::new(TextParams::default(), 1);
+        let generator = TextGenerator::new(1);
         let mut rng = StdRng::seed_from_u64(5);
         let lens_simple: Vec<usize> = (0..200)
             .map(|_| generator.sentence(&mut rng, 0.7).split_whitespace().count())
@@ -232,7 +209,7 @@ mod tests {
 
     #[test]
     fn sentences_end_with_period_and_start_uppercase() {
-        let generator = TextGenerator::new(TextParams::default(), 1);
+        let generator = TextGenerator::new(1);
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..50 {
             let s = generator.sentence(&mut rng, 1.0);
@@ -243,7 +220,7 @@ mod tests {
 
     #[test]
     fn words_meets_word_count() {
-        let generator = TextGenerator::new(TextParams::default(), 1);
+        let generator = TextGenerator::new(1);
         let mut rng = StdRng::seed_from_u64(5);
         let t = generator.words(&mut rng, 1.0, 500);
         let n = t.split_whitespace().count();
@@ -253,7 +230,7 @@ mod tests {
     #[test]
     fn text_bytes_is_one_file_of_a_shared_generator() {
         for seed in [0, 7, 42, u64::MAX] {
-            let generator = TextGenerator::new(TextParams::default(), seed);
+            let generator = TextGenerator::new(seed);
             for (id, size, complexity) in
                 [(0, 0, 1.0), (1, 1, 1.0), (7, 500, 0.7), (99, 4_321, 1.6)]
             {
@@ -297,7 +274,7 @@ mod tests {
                 out.truncate(bytes);
                 out
             };
-        let generator = TextGenerator::new(TextParams::default(), 9);
+        let generator = TextGenerator::new(9);
         for complexity in [0.5f64, 1.0, 1.6, 50.0] {
             for bytes in [0, 1, 99, 5_000] {
                 let seed = bytes as u64 ^ complexity.to_bits();

@@ -23,45 +23,36 @@ pub struct BonnieReport {
     pub duration_s: f64,
 }
 
+/// Minimum acceptable block bandwidth, MB/s (the paper uses 60).
+const MIN_MBPS: f64 = 60.0;
+
+/// Maximum coefficient of variation across repeats.
+const MAX_CV: f64 = 0.08;
+
+/// Number of repeated measurements.
+const REPEATS: usize = 2;
+
 /// Acceptance policy for screening.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScreeningPolicy {
-    /// Minimum acceptable block bandwidth, MB/s (the paper uses 60).
-    pub min_mbps: f64,
-    /// Maximum coefficient of variation across repeats.
-    pub max_cv: f64,
-    /// Number of repeated measurements.
-    pub repeats: usize,
     /// Give up after this many candidate instances.
     pub max_attempts: usize,
 }
 
-impl ScreeningPolicy {
-    /// The §4 verdict over repeated block-read measurements, MB/s: every
-    /// read above `min_mbps` and their coefficient of variation within
-    /// `max_cv`.
-    fn accepts(&self, reads: &[f64]) -> bool {
-        let mean = reads.iter().sum::<f64>() / reads.len() as f64;
-        let cv = if reads.len() > 1 {
-            let var =
-                reads.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (reads.len() - 1) as f64;
-            var.sqrt() / mean
-        } else {
-            0.0
-        };
-        let min = reads.iter().cloned().fold(f64::INFINITY, f64::min);
-        min > self.min_mbps && cv <= self.max_cv
-    }
+/// The §4 verdict over the `REPEATS` block-read measurements, MB/s:
+/// every read above `MIN_MBPS` and their coefficient of variation within
+/// `MAX_CV`.
+fn accepts(reads: &[f64]) -> bool {
+    let mean = reads.iter().sum::<f64>() / reads.len() as f64;
+    let var = reads.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (reads.len() - 1) as f64;
+    let cv = var.sqrt() / mean;
+    let min = reads.iter().cloned().fold(f64::INFINITY, f64::min);
+    min > MIN_MBPS && cv <= MAX_CV
 }
 
 impl Default for ScreeningPolicy {
     fn default() -> Self {
-        ScreeningPolicy {
-            min_mbps: 60.0,
-            max_cv: 0.08,
-            repeats: 2,
-            max_attempts: 16,
-        }
+        ScreeningPolicy { max_attempts: 16 }
     }
 }
 
@@ -117,25 +108,26 @@ pub fn run_disk_probe_at(
     Ok((probe_bytes / secs / 1.0e6, at + secs))
 }
 
-/// Screen an instance for fleet duty on its own timeline: `repeats` bonnie
-/// measurements starting when the instance boots. Returns
-/// `(passed, ready_time)`.
+/// Screen an instance for fleet duty on its own timeline: `REPEATS`
+/// bonnie measurements starting when the instance boots. Returns
+/// `(passed, ready_time)`. One instance spends none of the policy's
+/// attempt budget, so the verdict does not read it.
 pub fn screen_at(
     cloud: &mut Cloud,
     inst: InstanceId,
-    policy: &ScreeningPolicy,
+    _policy: &ScreeningPolicy,
 ) -> Result<(bool, f64), CloudError> {
     let mut t = cloud.running_at(inst)?;
-    let mut reads = Vec::with_capacity(policy.repeats);
-    for _ in 0..policy.repeats {
+    let mut reads = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
         let (report, end) = run_bonnie_at(cloud, inst, t)?;
         reads.push(report.block_read_mbps);
         t = end;
     }
-    Ok((policy.accepts(&reads), t))
+    Ok((accepts(&reads), t))
 }
 
-/// Acquire an instance that passes `policy`: launch, measure `repeats`
+/// Acquire an instance that passes `policy`: launch, measure `REPEATS`
 /// times, keep if fast and stable, otherwise terminate and retry. Returns
 /// the accepted instance and how many candidates were burned, or
 /// [`CloudError::ScreeningExhausted`] when all `max_attempts` fail.
@@ -148,10 +140,10 @@ pub fn acquire_good_instance(
     for attempt in 1..=policy.max_attempts {
         let id = cloud.launch(itype, zone)?;
         cloud.wait_until_running(id)?;
-        let reads: Vec<f64> = (0..policy.repeats)
+        let reads: Vec<f64> = (0..REPEATS)
             .map(|_| run_bonnie(cloud, id).map(|r| r.block_read_mbps))
             .collect::<Result<_, _>>()?;
-        if policy.accepts(&reads) {
+        if accepts(&reads) {
             return Ok((id, attempt));
         }
         cloud.terminate(id)?;
@@ -210,10 +202,7 @@ mod tests {
             inconsistent_fraction: 0.0,
             ..CloudConfig::default()
         });
-        let policy = ScreeningPolicy {
-            max_attempts: 3,
-            ..Default::default()
-        };
+        let policy = ScreeningPolicy { max_attempts: 3 };
         let err = acquire_good_instance(&mut cloud, InstanceType::Small, zone(), &policy);
         assert!(err.is_err());
     }

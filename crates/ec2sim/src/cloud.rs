@@ -29,13 +29,8 @@ pub struct CloudConfig {
     pub slow_fraction: f64,
     /// Fraction of inconsistent instances.
     pub inconsistent_fraction: f64,
-    /// EBS placement segment width in bytes.
-    pub segment_bytes: u64,
     /// Fraction of slow EBS segments.
     pub slow_segment_fraction: f64,
-    /// Multiplier range for slow segments (the paper verified up to ×3
-    /// degradation, i.e. multipliers down to ≈0.33).
-    pub slow_segment_multiplier: (f64, f64),
     /// EBS volume attach/detach latency, seconds.
     pub attach_overhead_s: f64,
     /// Measurement noise model.
@@ -55,9 +50,7 @@ impl Default for CloudConfig {
             startup_jitter_s: 40.0,
             slow_fraction: 0.12,
             inconsistent_fraction: 0.08,
-            segment_bytes: 1_000_000_000,
             slow_segment_fraction: 0.10,
-            slow_segment_multiplier: (0.33, 0.60),
             attach_overhead_s: 3.0,
             noise: NoiseModel::default(),
             instance_cap: 128,
@@ -380,15 +373,11 @@ impl Cloud {
         slow_segment_fraction: f64,
     ) -> VolumeId {
         let id = VolumeId(self.volumes.len() as u64);
-        let (lo, hi) = self.config.slow_segment_multiplier;
         self.volumes.push(EbsVolume::new(
             id,
             zone,
             size,
-            self.config.segment_bytes,
             slow_segment_fraction,
-            lo,
-            hi,
             self.config.seed,
         ));
         id

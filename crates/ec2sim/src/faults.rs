@@ -101,6 +101,9 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// Extra boot latency range of a delayed boot (low, high), seconds.
+const BOOT_DELAY_SECS: (f64, f64) = (5.0, 90.0);
+
 /// Probabilities and ranges for seeded fault generation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
@@ -127,8 +130,6 @@ pub struct FaultConfig {
     pub slowdown_factor: (f64, f64),
     /// Per-instance probability of a delayed boot.
     pub boot_delay_prob: f64,
-    /// Extra boot latency range (low, high), seconds.
-    pub boot_delay_secs: (f64, f64),
     /// Per-volume probability of one transient attach failure.
     pub attach_failure_prob: f64,
     /// Count of transient S3 GET errors scheduled in the horizon.
@@ -150,7 +151,6 @@ impl Default for FaultConfig {
             slowdown_prob: 0.05,
             slowdown_factor: (1.05, 1.5),
             boot_delay_prob: 0.05,
-            boot_delay_secs: (5.0, 90.0),
             attach_failure_prob: 0.05,
             s3_get_errors: 1,
             s3_put_errors: 1,
@@ -195,7 +195,7 @@ impl FaultPlan {
         let horizon = cfg.horizon_secs.max(1e-9);
         for ord in cfg.first_instance..cfg.first_instance.saturating_add(cfg.instances) {
             if rng.random::<f64>() < cfg.boot_delay_prob {
-                let (lo, hi) = cfg.boot_delay_secs;
+                let (lo, hi) = BOOT_DELAY_SECS;
                 events.push(FaultEvent {
                     at: 0.0,
                     instance: Some(ord),

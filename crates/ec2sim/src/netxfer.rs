@@ -170,7 +170,6 @@ pub struct TransferEngine {
     backend: SharingBackend,
     params: BackendParams,
     seed: u64,
-    pricing: TransferPricing,
     /// Busy-until horizon per stream (bounded backends only).
     streams: Vec<f64>,
     /// First transfer start, for the server-occupancy window.
@@ -197,7 +196,6 @@ impl TransferEngine {
             backend,
             params,
             seed,
-            pricing: TransferPricing::default(),
             streams: vec![0.0; params.parallel_streams],
             window_start: None,
             window_end: 0.0,
@@ -254,7 +252,7 @@ impl TransferEngine {
         };
         let wire_cost = if self.backend == SharingBackend::S3 {
             let kind = TransferPricing::kind_between(req.src_zone, req.dst_zone);
-            self.pricing.cost(kind, req.bytes)
+            TransferPricing {}.cost(kind, req.bytes)
         } else {
             0.0
         };

@@ -9,25 +9,23 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Round-trip latency per object request, seconds (S3 GET ≈ 50–100 ms
+/// in 2010).
+const PER_OBJECT_S: f64 = 0.08;
+
+/// Download bandwidth, bytes/second.
+const BANDWIDTH_BPS: f64 = 20.0e6;
+
 /// Retrieval cost model: per-object request latency + streaming bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetrievalModel {
-    /// Round-trip latency per object request, seconds (S3 GET ≈ 50–100 ms
-    /// in 2010).
-    pub per_object_s: f64,
-    /// Download bandwidth, bytes/second.
-    pub bandwidth_bps: f64,
     /// Concurrent requests the client pipelines (latency amortization).
     pub parallelism: usize,
 }
 
 impl Default for RetrievalModel {
     fn default() -> Self {
-        RetrievalModel {
-            per_object_s: 0.08,
-            bandwidth_bps: 20.0e6,
-            parallelism: 8,
-        }
+        RetrievalModel { parallelism: 8 }
     }
 }
 
@@ -36,9 +34,8 @@ impl RetrievalModel {
     /// Request latencies amortize across `parallelism` in-flight requests;
     /// bytes are serialized through the single downlink.
     pub fn retrieval_secs(&self, objects: usize, bytes: u64) -> f64 {
-        let request_time =
-            (objects as f64 / self.parallelism.max(1) as f64).ceil() * self.per_object_s;
-        request_time + bytes as f64 / self.bandwidth_bps.max(1.0)
+        let request_time = (objects as f64 / self.parallelism.max(1) as f64).ceil() * PER_OBJECT_S;
+        request_time + bytes as f64 / BANDWIDTH_BPS
     }
 }
 
@@ -56,14 +53,8 @@ mod tests {
 
     #[test]
     fn parallelism_amortizes_requests() {
-        let serial = RetrievalModel {
-            parallelism: 1,
-            ..RetrievalModel::default()
-        };
-        let parallel = RetrievalModel {
-            parallelism: 32,
-            ..RetrievalModel::default()
-        };
+        let serial = RetrievalModel { parallelism: 1 };
+        let parallel = RetrievalModel { parallelism: 32 };
         let n = 100_000;
         assert!(parallel.retrieval_secs(n, 0) * 4.0 < serial.retrieval_secs(n, 0));
     }

@@ -19,6 +19,13 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// EBS placement segment width in bytes.
+const SEGMENT_BYTES: u64 = 1_000_000_000;
+
+/// Multiplier range for slow segments (the paper verified up to ×3
+/// degradation, i.e. multipliers down to ≈0.33).
+const SLOW_SEGMENT_MULTIPLIER: (f64, f64) = (0.33, 0.60);
+
 /// Opaque EBS volume identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct VolumeId(pub u64);
@@ -37,32 +44,26 @@ pub struct EbsVolume {
     pub attached_to: Option<InstanceId>,
     /// Per-segment throughput multipliers (≤ 1.0).
     segments: Vec<f64>,
-    /// Segment width in bytes.
-    segment_bytes: u64,
 }
 
 impl EbsVolume {
     /// Create a volume, sampling segment multipliers from the seed:
     /// `slow_fraction` of segments get a multiplier in
-    /// `[slow_multiplier_lo, slow_multiplier_hi]`, the rest are ×1.0.
-    #[allow(clippy::too_many_arguments)]
+    /// `SLOW_SEGMENT_MULTIPLIER`, the rest are ×1.0.
     pub fn new(
         id: VolumeId,
         zone: AvailabilityZone,
         size: u64,
-        segment_bytes: u64,
         slow_fraction: f64,
-        slow_multiplier_lo: f64,
-        slow_multiplier_hi: f64,
         seed: u64,
     ) -> Self {
-        assert!(segment_bytes > 0, "segment size must be positive");
-        let n = size.div_ceil(segment_bytes).max(1) as usize;
+        let n = size.div_ceil(SEGMENT_BYTES).max(1) as usize;
         let mut rng = StdRng::seed_from_u64(seed ^ id.0.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        let (lo, hi) = SLOW_SEGMENT_MULTIPLIER;
         let segments = (0..n)
             .map(|_| {
                 if rng.random::<f64>() < slow_fraction {
-                    rng.random_range(slow_multiplier_lo..slow_multiplier_hi)
+                    rng.random_range(lo..hi)
                 } else {
                     1.0
                 }
@@ -74,7 +75,6 @@ impl EbsVolume {
             size,
             attached_to: None,
             segments,
-            segment_bytes,
         }
     }
 
@@ -89,8 +89,8 @@ impl EbsVolume {
         let mut pos = offset % self.size.max(1);
         let mut time_units = 0.0f64;
         while remaining > 0 {
-            let seg = ((pos / self.segment_bytes) as usize) % self.segments.len();
-            let seg_end = (pos / self.segment_bytes + 1) * self.segment_bytes;
+            let seg = ((pos / SEGMENT_BYTES) as usize) % self.segments.len();
+            let seg_end = (pos / SEGMENT_BYTES + 1) * SEGMENT_BYTES;
             let chunk = remaining.min(seg_end - pos);
             time_units += chunk as f64 / self.segments[seg];
             pos = seg_end % self.size.max(1);
@@ -196,10 +196,7 @@ mod tests {
             VolumeId(1),
             AvailabilityZone::us_east_1a(),
             10_000_000_000, // 10 GB
-            1_000_000_000,  // 1 GB segments
             slow_fraction,
-            0.33,
-            0.6,
             seed,
         )
     }
@@ -232,10 +229,7 @@ mod tests {
             VolumeId(2),
             AvailabilityZone::us_east_1a(),
             40_000_000_000,
-            1_000_000_000,
             0.4,
-            0.33,
-            0.6,
             4,
         );
         let ms: Vec<f64> = (0..40)

@@ -25,36 +25,28 @@ pub enum TransferKind {
     InterRegion,
 }
 
-/// Per-GB transfer rates in dollars.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransferPricing {
-    /// Internet ingress per GB.
-    pub ingress_per_gb: f64,
-    /// Internet egress per GB (first tier).
-    pub egress_per_gb: f64,
-    /// Cross-zone per GB.
-    pub inter_zone_per_gb: f64,
-}
+/// Internet ingress per GB, dollars.
+const INGRESS_PER_GB: f64 = 0.10;
 
-impl Default for TransferPricing {
-    fn default() -> Self {
-        TransferPricing {
-            ingress_per_gb: 0.10,
-            egress_per_gb: 0.17,
-            inter_zone_per_gb: 0.01,
-        }
-    }
-}
+/// Internet egress per GB (first tier), dollars.
+const EGRESS_PER_GB: f64 = 0.17;
+
+/// Cross-zone per GB, dollars.
+const INTER_ZONE_PER_GB: f64 = 0.01;
+
+/// The 2010 per-GB transfer rates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct TransferPricing {}
 
 impl TransferPricing {
     /// Dollars for moving `bytes` as `kind`.
     pub fn cost(&self, kind: TransferKind, bytes: u64) -> f64 {
         let gb = bytes as f64 / 1.0e9;
         match kind {
-            TransferKind::IngressFromInternet => gb * self.ingress_per_gb,
-            TransferKind::EgressToInternet | TransferKind::InterRegion => gb * self.egress_per_gb,
+            TransferKind::IngressFromInternet => gb * INGRESS_PER_GB,
+            TransferKind::EgressToInternet | TransferKind::InterRegion => gb * EGRESS_PER_GB,
             TransferKind::IntraZone => 0.0,
-            TransferKind::InterZone => gb * self.inter_zone_per_gb,
+            TransferKind::InterZone => gb * INTER_ZONE_PER_GB,
         }
     }
 

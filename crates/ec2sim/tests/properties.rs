@@ -33,10 +33,7 @@ proptest! {
             VolumeId(1),
             ec2sim::AvailabilityZone::us_east_1a(),
             40_000_000_000,
-            1_000_000_000,
             slow_fraction,
-            0.33,
-            0.60,
             seed,
         );
         let m = v.throughput_multiplier(offset, bytes);

@@ -46,6 +46,6 @@ pub use exec::{execute_portfolio, reclaim_fault_plan, MarketExecution};
 pub use planner::{
     cheapest_family_plan, expected_plan_cost, family_fit, family_plan, plan_market,
     plan_market_observed, plan_on_family, FamilyQuote, FleetLine, MarketConfig, MarketReject,
-    MarketStrategy, PortfolioPlan, Tier,
+    MarketStrategy, PortfolioPlan, Tier, RESUME_PENALTY_SECS,
 };
 pub use spot::{BidWindow, SpotPath, SPOT_STEP_SECS};

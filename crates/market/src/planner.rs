@@ -121,6 +121,13 @@ pub enum MarketReject {
     },
 }
 
+/// Bid level as a multiple of each family's long-run spot mean.
+const BID_FACTOR: f64 = 1.6;
+
+/// Simulated seconds of progress lost per bid crossing (replacement boot +
+/// requeue), charged against the spot-effective deadline.
+pub const RESUME_PENALTY_SECS: f64 = 240.0;
+
 /// Planner knobs. `Clone` (not `Copy`) because the catalog is a vector.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MarketConfig {
@@ -131,18 +138,8 @@ pub struct MarketConfig {
     pub strategy: MarketStrategy,
     /// Target per-share miss probability fed to the §5.2 adjustment.
     pub p_miss: f64,
-    /// Bid level as a multiple of each family's long-run spot mean.
-    pub bid_factor: f64,
     /// Seed of every family's price path.
     pub seed: u64,
-    /// Price-path resolution, seconds per step.
-    pub step_secs: f64,
-    /// Price-path horizon, seconds; 0 sizes it automatically from the
-    /// deadline (at least a day, at least twice the deadline).
-    pub horizon_secs: f64,
-    /// Simulated seconds of progress lost per bid crossing (replacement
-    /// boot + requeue), charged against the spot-effective deadline.
-    pub resume_penalty_secs: f64,
 }
 
 impl Default for MarketConfig {
@@ -151,36 +148,30 @@ impl Default for MarketConfig {
             catalog: InstanceFamily::catalog(),
             strategy: MarketStrategy::Portfolio,
             p_miss: 0.05,
-            bid_factor: 1.6,
             seed: 0,
-            step_secs: SPOT_STEP_SECS,
-            horizon_secs: 0.0,
-            resume_penalty_secs: 240.0,
         }
     }
 }
 
 impl MarketConfig {
-    /// The price-path horizon actually used for a given deadline.
+    /// The price-path horizon used for a given deadline: at least a day,
+    /// at least twice the deadline.
     pub fn horizon_for(&self, deadline_secs: f64) -> f64 {
-        if self.horizon_secs > 0.0 {
-            self.horizon_secs
-        } else {
-            (2.0 * deadline_secs).max(86_400.0)
-        }
+        (2.0 * deadline_secs).max(86_400.0)
     }
 
-    /// The seeded price path of one family under this config.
+    /// The seeded price path of one family under this config, at
+    /// [`SPOT_STEP_SECS`] resolution.
     pub fn path_for(&self, family: &InstanceFamily, deadline_secs: f64) -> SpotPath {
-        let steps = (self.horizon_for(deadline_secs) / self.step_secs)
+        let steps = (self.horizon_for(deadline_secs) / SPOT_STEP_SECS)
             .ceil()
             .max(1.0) as usize;
-        SpotPath::generate(self.seed, family, steps, self.step_secs)
+        SpotPath::generate(self.seed, family, steps, SPOT_STEP_SECS)
     }
 
     /// The bid the planner places on one family's market.
     pub fn bid_for(&self, family: &InstanceFamily) -> f64 {
-        self.bid_factor * family.spot_mean_rate
+        BID_FACTOR * family.spot_mean_rate
     }
 }
 
@@ -566,7 +557,7 @@ pub fn plan_market_observed(
                 .path_for(family, deadline_secs)
                 .window(bid, 0.0, deadline_secs);
             let effective =
-                window.eligible_secs - window.reclaims.len() as f64 * cfg.resume_penalty_secs;
+                window.eligible_secs - window.reclaims.len() as f64 * RESUME_PENALTY_SECS;
             let rate = window.mean_price;
             let outcome = if effective <= 0.0 {
                 Err(ProvisionError::DeadlineBelowFixedCosts {

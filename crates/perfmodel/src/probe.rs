@@ -29,8 +29,6 @@ pub enum UnitSize {
     Bytes(u64),
 }
 
-impl UnitSize {}
-
 /// One probe: a volume at a unit size, realized as a list of (possibly
 /// merged) files.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -286,6 +286,18 @@ pub fn execute_plan_observed(
     .map(|report| report.execution)
 }
 
+/// Backoff before the first retry, simulated seconds.
+const BASE_BACKOFF_SECS: f64 = 2.0;
+
+/// Multiplier between consecutive backoffs.
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Cap on a single backoff, simulated seconds.
+const MAX_BACKOFF_SECS: f64 = 60.0;
+
+/// Uniform jitter applied to each backoff, as a ± fraction.
+const JITTER_FRAC: f64 = 0.1;
+
 /// How the resilient executor reacts to injected faults. All delays are
 /// **simulated** seconds folded into instance timelines — this crate is
 /// clock-free (RL005), so backoff never reads the wall clock.
@@ -293,14 +305,6 @@ pub fn execute_plan_observed(
 pub struct RetryPolicy {
     /// Attempts per operation for transient errors (first try included).
     pub max_attempts: u32,
-    /// Backoff before the first retry, simulated seconds.
-    pub base_backoff_secs: f64,
-    /// Multiplier between consecutive backoffs.
-    pub backoff_factor: f64,
-    /// Cap on a single backoff, simulated seconds.
-    pub max_backoff_secs: f64,
-    /// Uniform jitter applied to each backoff, as a ± fraction.
-    pub jitter_frac: f64,
     /// Replacement instances allowed per share after instance loss.
     pub max_replacements: u32,
     /// Seed of the jitter RNG (independent of the cloud seed, so the same
@@ -312,10 +316,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 4,
-            base_backoff_secs: 2.0,
-            backoff_factor: 2.0,
-            max_backoff_secs: 60.0,
-            jitter_frac: 0.1,
             max_replacements: 3,
             seed: 0,
         }
@@ -327,10 +327,8 @@ impl RetryPolicy {
     /// exponential with uniform jitter, in simulated seconds.
     pub fn backoff_secs(&self, attempt: u32, rng: &mut StdRng) -> f64 {
         let exp = attempt.saturating_sub(1).min(24);
-        let capped = (self.base_backoff_secs * self.backoff_factor.powi(exp as i32))
-            .min(self.max_backoff_secs);
-        let jitter = 1.0 + self.jitter_frac * (rng.random::<f64>() * 2.0 - 1.0);
-        (capped * jitter).max(0.0)
+        let capped = (BASE_BACKOFF_SECS * BACKOFF_FACTOR.powi(exp as i32)).min(MAX_BACKOFF_SECS);
+        capped * (1.0 + JITTER_FRAC * (rng.random::<f64>() * 2.0 - 1.0))
     }
 }
 

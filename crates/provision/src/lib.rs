@@ -46,9 +46,9 @@ pub use plan::{InstancePlan, Plan};
 pub use pricing::{cost_for_deadline, instance_hours, PricingModel};
 pub use quality_aware::{execute_quality_aware, QualityAwareConfig, QualityAwareReport};
 pub use shuffle::{
-    execute_aggregation, execute_aggregation_observed, execute_shuffle_observed, map_partials,
-    plan_aggregation, plan_shuffle, shuffle_movements, AggregationReport, BackendEvaluation,
-    ShuffleConfig, ShuffleError, ShuffleMovement, ShufflePlan, ShuffleReport,
+    execute_aggregation_observed, execute_shuffle_observed, map_partials, plan_aggregation,
+    plan_shuffle, shuffle_movements, AggregationReport, BackendEvaluation, ShuffleConfig,
+    ShuffleError, ShuffleMovement, ShufflePlan, ShuffleReport,
 };
 pub use strategy::{make_plan, Sizing, Strategy};
 pub use switching::{switch_analysis, SwitchAnalysis};

@@ -20,39 +20,39 @@ use perfmodel::Fit;
 use serde::{Deserialize, Serialize};
 use textapps::AppCostModel;
 
+/// Bandwidth (MB/s) the base performance model was calibrated on — the
+/// probe instance's measured speed.
+const REFERENCE_MBPS: f64 = 75.0;
+
+/// How strongly measured bandwidth scales the model's marginal cost: 1.0
+/// for I/O-bound apps (grep), ~0 for CPU-bound apps whose bandwidth is
+/// uncorrelated with speed. (The §7 "lightweight test" is a disk probe, so
+/// it predicts I/O-bound behaviour best.)
+const IO_SENSITIVITY: f64 = 1.0;
+
+/// Candidate cap per execution, to bound churn on hostile fleets.
+const MAX_CANDIDATES: usize = 48;
+
+/// Bytes read by the lightweight disk probe (small: the probe must not eat
+/// the deadline it protects).
+const PROBE_BYTES: f64 = 200.0e6;
+
+/// Plan each share against this fraction of the instance's remaining
+/// budget, leaving headroom for measurement noise.
+const SAFETY: f64 = 0.85;
+
 /// Configuration for the quality-aware executor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QualityAwareConfig {
-    /// Bandwidth (MB/s) the base performance model was calibrated on —
-    /// the probe instance's measured speed.
-    pub reference_mbps: f64,
-    /// How strongly measured bandwidth scales the model's marginal cost:
-    /// 1.0 for I/O-bound apps (grep), ~0 for CPU-bound apps whose
-    /// bandwidth is uncorrelated with speed. (The §7 "lightweight test"
-    /// is a disk probe, so it predicts I/O-bound behaviour best.)
-    pub io_sensitivity: f64,
     /// Refuse to send work to instances measured below this speed
     /// (terminate and replace instead), MB/s.
     pub min_usable_mbps: f64,
-    /// Candidate cap per share, to bound churn on hostile fleets.
-    pub max_candidates: usize,
-    /// Bytes read by the lightweight disk probe (small: the probe must
-    /// not eat the deadline it protects).
-    pub probe_bytes: f64,
-    /// Plan each share against this fraction of the instance's remaining
-    /// budget, leaving headroom for measurement noise.
-    pub safety: f64,
 }
 
 impl Default for QualityAwareConfig {
     fn default() -> Self {
         QualityAwareConfig {
-            reference_mbps: 75.0,
-            io_sensitivity: 1.0,
             min_usable_mbps: 25.0,
-            max_candidates: 48,
-            probe_bytes: 200.0e6,
-            safety: 0.85,
         }
     }
 }
@@ -69,7 +69,10 @@ pub struct QualityAwareReport {
 }
 
 /// Execute `files` before `deadline_secs`: per-instance volumes are sized
-/// by the *measured* quality of each acquired instance.
+/// by the *measured* quality of each acquired instance. When
+/// `MAX_CANDIDATES` instances are used up before every file is
+/// scheduled, the unscheduled remainder counts as one failed share, so the
+/// report misses its deadline.
 pub fn execute_quality_aware(
     cloud: &mut Cloud,
     files: &[corpus::FileSpec],
@@ -88,16 +91,16 @@ pub fn execute_quality_aware(
     let mut hours = 0u64;
 
     while !remaining.is_empty() {
-        if candidates >= qcfg.max_candidates {
-            break; // hostile fleet; report what was scheduled
+        if candidates >= MAX_CANDIDATES {
+            break; // hostile fleet; the remainder is reported as failed
         }
         candidates += 1;
         let (inst, boot) = acquire_instance(cloud, cfg)?;
-        let (mbps, probe_done) = run_disk_probe_at(cloud, inst, boot, qcfg.probe_bytes)?;
+        let (mbps, probe_done) = run_disk_probe_at(cloud, inst, boot, PROBE_BYTES)?;
 
         // Scale the model: marginal cost grows as bandwidth falls.
-        let speed = (mbps / qcfg.reference_mbps).powf(qcfg.io_sensitivity);
-        let budget_secs = (deadline_secs - (probe_done - boot) - attach) * qcfg.safety;
+        let speed = (mbps / REFERENCE_MBPS).powf(IO_SENSITIVITY);
+        let budget_secs = (deadline_secs - (probe_done - boot) - attach) * SAFETY;
         // Volume this instance finishes by its remaining budget: invert
         // the base model at the speed-scaled deadline.
         let volume = if mbps < qcfg.min_usable_mbps || budget_secs <= 0.0 {
@@ -154,8 +157,9 @@ pub fn execute_quality_aware(
         });
     }
 
+    let failed = usize::from(!remaining.is_empty());
     Ok(QualityAwareReport {
-        execution: ExecutionReport::summarize(runs, deadline_secs, 0, hours, cfg),
+        execution: ExecutionReport::summarize(runs, deadline_secs, failed, hours, cfg),
         measured_mbps,
         rejected,
     })
@@ -226,11 +230,33 @@ mod tests {
             &ExecutionConfig::default(),
             &QualityAwareConfig {
                 min_usable_mbps: 56.0, // all slow instances are below this
-                ..QualityAwareConfig::default()
             },
         )
         .unwrap();
         assert!(report.rejected > 0);
+    }
+
+    #[test]
+    fn exhausted_candidates_report_the_unscheduled_files_as_a_miss() {
+        // No instance passes the probe, so every candidate is rejected and
+        // no file is processed: the report must not claim the deadline.
+        let mut cloud = Cloud::new(hostile(2));
+        let report = execute_quality_aware(
+            &mut cloud,
+            &corpus_files(10, 100_000_000),
+            &grep_fit(),
+            60.0,
+            &GrepCostModel::default(),
+            &ExecutionConfig::default(),
+            &QualityAwareConfig {
+                min_usable_mbps: 1e9,
+            },
+        )
+        .unwrap();
+        assert_eq!(report.rejected, 48);
+        assert!(report.execution.runs.is_empty());
+        assert_eq!(report.execution.misses, 1);
+        assert!(!report.execution.met_deadline());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::error::ProvisionError;
 use crate::executor::{ExecutionConfig, Fleet, FreshFleet, RetryPolicy, RunKind, ShareEnd};
 use crate::plan::Plan;
 use crate::strategy::{invert_at, make_plan, Strategy};
-use corpus::{FileSpec, TextGenerator, TextParams};
+use corpus::{FileSpec, TextGenerator};
 use ec2sim::{
     AvailabilityZone, BackendParams, Cloud, CloudError, DataLocation, SharingBackend,
     TransferEngine, TransferRequest,
@@ -72,9 +72,6 @@ pub struct ShuffleConfig {
     pub seed: u64,
     /// Acceptable deadline-miss probability for the adjusted budget.
     pub p_miss: f64,
-    /// Zones the fleet is spread over round-robin; empty means everything
-    /// stays in `exec.zone`. Cross-zone pairs make S3 pay the per-GB rate.
-    pub zone_spread: Vec<AvailabilityZone>,
 }
 
 impl Default for ShuffleConfig {
@@ -87,18 +84,6 @@ impl Default for ShuffleConfig {
             retry: RetryPolicy::default(),
             seed: 0,
             p_miss: 0.1,
-            zone_spread: Vec::new(),
-        }
-    }
-}
-
-impl ShuffleConfig {
-    /// The zones the fleet round-robins over (never empty).
-    fn zones(&self) -> Vec<AvailabilityZone> {
-        if self.zone_spread.is_empty() {
-            vec![self.exec.zone]
-        } else {
-            self.zone_spread.clone()
         }
     }
 }
@@ -270,7 +255,7 @@ impl From<CloudError> for ShuffleError {
 /// and each file's terms are counted into its bin's [`TermTable`];
 /// [`textapps::aggregate::oracle`] is the independent per-file reference.
 pub fn map_partials(kind: AggKind, corpus_seed: u64, bins: &[Vec<FileSpec>]) -> Vec<Partial> {
-    let generator = TextGenerator::new(TextParams::default(), corpus_seed);
+    let generator = TextGenerator::new(corpus_seed);
     bins.iter()
         .map(|bin| {
             let mut table = TermTable::new(kind);
@@ -297,14 +282,14 @@ fn partitioned_partials(cfg: &ShuffleConfig, bins: &[Vec<FileSpec>]) -> Vec<Vec<
 }
 
 /// The movement set a compute plan implies: one entry per non-empty
-/// `(map bin, reduce bin)` pair, in deterministic `(m, r)` order.
+/// `(map bin, reduce bin)` pair, in deterministic `(m, r)` order. The
+/// whole fleet runs in `exec.zone`, so every movement stays in that zone.
 pub fn shuffle_movements(cfg: &ShuffleConfig, bins: &[Vec<FileSpec>]) -> Vec<ShuffleMovement> {
     movements_of(cfg, &partitioned_partials(cfg, bins))
 }
 
 /// [`shuffle_movements`] over already partitioned partials.
 fn movements_of(cfg: &ShuffleConfig, partitioned: &[Vec<Partial>]) -> Vec<ShuffleMovement> {
-    let zones = cfg.zones();
     let mut out = Vec::new();
     for (m, parts) in partitioned.iter().enumerate() {
         for (r, part) in parts.iter().enumerate() {
@@ -316,8 +301,8 @@ fn movements_of(cfg: &ShuffleConfig, partitioned: &[Vec<Partial>]) -> Vec<Shuffl
                 bytes: partial_bytes(part),
                 producer: m,
                 reducer: r,
-                src_zone: zones[m % zones.len()],
-                dst_zone: zones[r % zones.len()],
+                src_zone: cfg.exec.zone,
+                dst_zone: cfg.exec.zone,
             });
         }
     }
@@ -570,11 +555,6 @@ fn execute_partitioned(
     partitioned: &[Vec<Partial>],
     obs: &Obs,
 ) -> Result<ShuffleReport, ShuffleError> {
-    let zones = cfg.zones();
-    let zone_cfg = |i: usize| ExecutionConfig {
-        zone: zones[i % zones.len()],
-        ..cfg.exec
-    };
     let reduce_bins = cfg.reduce_bins.max(1);
     let model = TokenizeCostModel::default();
     let mut source = FreshFleet;
@@ -596,9 +576,8 @@ fn execute_partitioned(
     let map_span = obs.span_start("shuffle.map", phase_start);
     let mut map_finish = vec![phase_start; m_count];
     for (idx, share) in plan.instances.iter().enumerate() {
-        let share_cfg = zone_cfg(idx);
-        let first = fleet.acquire(cloud, &share_cfg)?;
-        match fleet.run_share(cloud, &share_cfg, &model, share, first)? {
+        let first = fleet.acquire(cloud, &cfg.exec)?;
+        match fleet.run_share(cloud, &cfg.exec, &model, share, first)? {
             ShareEnd::Done { report, ready, .. } => {
                 map_finish[idx] = report.finished_at;
                 slots.push((report.instance, ready));
@@ -689,7 +668,7 @@ fn execute_partitioned(
                     Err(e) if e.is_instance_loss() => e,
                     Err(e) => return Err(ShuffleError::Cloud(e)),
                 };
-                match fleet.replace(cloud, &zone_cfg(r), slots[slot], &err, nb, &mut used)? {
+                match fleet.replace(cloud, &cfg.exec, slots[slot], &err, nb, &mut used)? {
                     (_, Some(next)) => slots[slot] = next,
                     (_, None) => return Err(ShuffleError::SharesExhausted { share: m_count + r }),
                 }
@@ -751,17 +730,6 @@ pub fn execute_aggregation_observed(
         plan: shuffle_plan,
         exec,
     })
-}
-
-/// [`execute_aggregation_observed`] without an observability sink.
-pub fn execute_aggregation(
-    cloud: &mut Cloud,
-    cfg: &ShuffleConfig,
-    files: &[FileSpec],
-    fit: &Fit,
-    deadline_secs: f64,
-) -> Result<AggregationReport, ShuffleError> {
-    execute_aggregation_observed(cloud, cfg, files, fit, deadline_secs, &Obs::default())
 }
 
 #[cfg(test)]
@@ -924,7 +892,9 @@ mod tests {
             ..ShuffleConfig::default()
         };
         let mut cloud = Cloud::new(CloudConfig::default());
-        let agg = execute_aggregation(&mut cloud, &cfg, &files, &fit, 60.0).unwrap();
+        let agg =
+            execute_aggregation_observed(&mut cloud, &cfg, &files, &fit, 60.0, &Obs::default())
+                .unwrap();
         assert_eq!(agg.plan.evaluations.len(), 3);
         assert_eq!(agg.exec.backend, agg.plan.backend);
         let expected = render(&oracle(cfg.kind, cfg.corpus_seed, &files));
@@ -972,7 +942,8 @@ mod tests {
         let cfg = ShuffleConfig::default();
         let run = || {
             let mut cloud = Cloud::new(CloudConfig::default());
-            execute_aggregation(&mut cloud, &cfg, &files, &fit, 30.0).unwrap()
+            execute_aggregation_observed(&mut cloud, &cfg, &files, &fit, 30.0, &Obs::default())
+                .unwrap()
         };
         assert_eq!(run(), run());
     }

@@ -458,7 +458,6 @@ fn every_executor_bills_the_configured_family() {
     let mut cloud = Cloud::new(hostile);
     let rejecting = QualityAwareConfig {
         min_usable_mbps: 75.0,
-        ..QualityAwareConfig::default()
     };
     let report =
         execute_quality_aware(&mut cloud, &files, &m, 30.0, &model, &cfg, &rejecting).unwrap();

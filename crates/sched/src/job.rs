@@ -63,6 +63,12 @@ pub struct ArrivalTrace {
     pub seed: u64,
 }
 
+/// Unit file size the corpus was reshaped to, bytes.
+const UNIT_FILE_SIZE: u64 = 1_000_000;
+
+/// Priority classes `0..PRIORITY_LEVELS` are drawn uniformly.
+const PRIORITY_LEVELS: u8 = 3;
+
 /// Parameters of the synthetic arrival process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceConfig {
@@ -75,12 +81,8 @@ pub struct TraceConfig {
     pub mean_interarrival_secs: f64,
     /// Per-job corpus volume, bytes, drawn uniformly inclusive.
     pub volume_range: (u64, u64),
-    /// Unit file size the corpus was reshaped to, bytes.
-    pub unit_file_size: u64,
     /// Relative deadline, seconds, drawn uniformly inclusive.
     pub deadline_range: (f64, f64),
-    /// Priority classes `0..priority_levels` drawn uniformly.
-    pub priority_levels: u8,
     /// Fraction of jobs running POS tagging; the rest run grep.
     pub pos_fraction: f64,
     /// Trace seed (independent of the cloud seed).
@@ -94,19 +96,17 @@ impl Default for TraceConfig {
             tenants: 4,
             mean_interarrival_secs: 120.0,
             volume_range: (50_000_000, 800_000_000),
-            unit_file_size: 1_000_000,
             deadline_range: (1_800.0, 7_200.0),
-            priority_levels: 3,
             pos_fraction: 0.25,
             seed: 0,
         }
     }
 }
 
-/// Split `volume` bytes into unit-sized files (the last one takes the
-/// remainder), ids starting at 0.
-fn unit_files(volume: u64, unit: u64) -> Vec<FileSpec> {
-    let unit = unit.max(1);
+/// Split `volume` bytes into `UNIT_FILE_SIZE` files (the last one takes
+/// the remainder), ids starting at 0.
+fn unit_files(volume: u64) -> Vec<FileSpec> {
+    let unit = UNIT_FILE_SIZE;
     let volume = volume.max(1);
     let n = volume.div_ceil(unit);
     (0..n)
@@ -125,7 +125,6 @@ impl TraceConfig {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5CED_7ACE);
         let mut t = 0.0f64;
         let tenants = self.tenants.max(1);
-        let levels = self.priority_levels.max(1);
         let (vol_lo, vol_hi) = self.volume_range;
         let (dl_lo, dl_hi) = self.deadline_range;
         let jobs = (0..self.jobs as u64)
@@ -135,7 +134,7 @@ impl TraceConfig {
                 let tenant = TenantId(rng.random_range(0..tenants));
                 let volume = rng.random_range(vol_lo..=vol_hi.max(vol_lo));
                 let deadline = rng.random_range(dl_lo..=dl_hi.max(dl_lo));
-                let priority = rng.random_range(0..levels);
+                let priority = rng.random_range(0..PRIORITY_LEVELS);
                 let app = if rng.random::<f64>() < self.pos_fraction {
                     AppKind::PosTag
                 } else {
@@ -145,7 +144,7 @@ impl TraceConfig {
                     id,
                     tenant,
                     app,
-                    files: unit_files(volume, self.unit_file_size),
+                    files: unit_files(volume),
                     arrival_secs: t,
                     deadline_secs: deadline,
                     priority,
@@ -210,7 +209,7 @@ pub fn reference_fit(kind: AppKind) -> Fit {
         .iter()
         .enumerate()
         .map(|(k, &x)| {
-            let files = unit_files(x as u64, 1_000_000);
+            let files = unit_files(x as u64);
             let wobble = 1.0 + 0.02 * if k % 2 == 0 { 1.0 } else { -1.0 };
             model.runtime_secs(&files, &env) * wobble
         })
@@ -234,7 +233,7 @@ mod tests {
         }
         for j in &a.jobs {
             assert!(j.tenant.0 < cfg.tenants);
-            assert!(j.priority < cfg.priority_levels);
+            assert!(j.priority < PRIORITY_LEVELS);
             assert!(j.volume() >= cfg.volume_range.0 && j.volume() <= cfg.volume_range.1);
             assert!(
                 j.deadline_secs >= cfg.deadline_range.0 && j.deadline_secs <= cfg.deadline_range.1
@@ -256,7 +255,7 @@ mod tests {
     #[test]
     fn unit_files_conserve_bytes() {
         for volume in [1u64, 999_999, 1_000_000, 1_000_001, 53_123_457] {
-            let files = unit_files(volume, 1_000_000);
+            let files = unit_files(volume);
             let total: u64 = files.iter().map(|f| f.size).sum();
             assert_eq!(total, volume);
             assert!(files.iter().all(|f| f.size >= 1));

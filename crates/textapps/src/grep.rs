@@ -88,22 +88,6 @@ impl Grep {
         }
         outcome
     }
-
-    /// Run over many buffers (a probe set of unit files), accumulating.
-    pub fn run_many<'a>(&self, inputs: impl IntoIterator<Item = &'a [u8]>) -> GrepOutcome {
-        let mut total = GrepOutcome {
-            matching_lines: 0,
-            occurrences: 0,
-            bytes_scanned: 0,
-        };
-        for input in inputs {
-            let o = self.run(input);
-            total.matching_lines += o.matching_lines;
-            total.occurrences += o.occurrences;
-            total.bytes_scanned += o.bytes_scanned;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -161,16 +145,6 @@ mod tests {
     fn from_offset_respected() {
         let g = Grep::new("ab");
         assert_eq!(g.find(b"ab ab", 1), Some(3));
-    }
-
-    #[test]
-    fn run_many_accumulates() {
-        let g = Grep::new("word");
-        let bufs: Vec<&[u8]> = vec![b"word here", b"no match", b"word word"];
-        let o = g.run_many(bufs);
-        assert_eq!(o.matching_lines, 2);
-        assert_eq!(o.occurrences, 3);
-        assert_eq!(o.bytes_scanned, 9 + 8 + 9);
     }
 
     #[test]

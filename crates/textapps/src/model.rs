@@ -69,25 +69,19 @@ pub trait AppCostModel {
     fn kind(&self) -> AppKind;
 }
 
-/// Grep: per-file open overhead plus a sequential scan at the slower of
-/// storage bandwidth and CPU scan rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GrepCostModel {
-    /// In-memory scan rate at `cpu_factor == 1`, bytes/second. High enough
-    /// that grep is I/O-bound on every realistic instance.
-    pub scan_bps: f64,
-}
+/// Grep's in-memory scan rate at `cpu_factor == 1`, bytes/second. High
+/// enough that grep is I/O-bound on every realistic instance.
+const GREP_SCAN_BPS: f64 = 900.0e6;
 
-impl Default for GrepCostModel {
-    fn default() -> Self {
-        GrepCostModel { scan_bps: 900.0e6 }
-    }
-}
+/// Grep: per-file open overhead plus a sequential scan at the slower of
+/// storage bandwidth and CPU scan rate (`GREP_SCAN_BPS`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct GrepCostModel {}
 
 impl AppCostModel for GrepCostModel {
     fn runtime_secs(&self, files: &[FileSpec], env: &ExecEnv) -> f64 {
         let bytes: u64 = files.iter().map(|f| f.size).sum();
-        let effective = env.io_throughput_bps.min(self.scan_bps * env.cpu_factor);
+        let effective = env.io_throughput_bps.min(GREP_SCAN_BPS * env.cpu_factor);
         env.startup_s
             + files.len() as f64 * env.per_file_overhead_s
             + bytes as f64 / effective.max(1.0)
@@ -98,38 +92,30 @@ impl AppCostModel for GrepCostModel {
     }
 }
 
+/// POS seconds per byte of text at `cpu_factor == 1`, complexity 1.
+const POS_SECS_PER_BYTE: f64 = 6.78e-5;
+
+/// POS per-file fixed cost inside the wrapper (document setup), seconds.
+const POS_PER_FILE_S: f64 = 5.0e-4;
+
+/// File size where POS memory pressure starts to bite, bytes.
+const POS_MEM_REF_BYTES: f64 = 500.0;
+
+/// Strength of POS's logarithmic memory-pressure penalty.
+const POS_MEM_ALPHA: f64 = 0.045;
+
 /// POS tagging: per-file overhead plus a per-byte tagging cost scaled by
 /// language complexity and a memory-pressure penalty that grows
 /// logarithmically once files exceed a reference size — large unit files
 /// hurt, which is why the original segmentation wins in Fig 7.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PosCostModel {
-    /// Seconds per byte of text at `cpu_factor == 1`, complexity 1.
-    pub secs_per_byte: f64,
-    /// Per-file fixed cost inside the wrapper (document setup), seconds.
-    pub per_file_s: f64,
-    /// File size where memory pressure starts to bite, bytes.
-    pub mem_ref_bytes: f64,
-    /// Strength of the logarithmic memory-pressure penalty.
-    pub mem_alpha: f64,
-}
-
-impl Default for PosCostModel {
-    fn default() -> Self {
-        PosCostModel {
-            secs_per_byte: 6.78e-5,
-            per_file_s: 5.0e-4,
-            mem_ref_bytes: 500.0,
-            mem_alpha: 0.045,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct PosCostModel {}
 
 impl PosCostModel {
     /// The memory-pressure multiplier for a file of `size` bytes (≥ 1).
     pub fn mem_penalty(&self, size: u64) -> f64 {
-        let ratio = size as f64 / self.mem_ref_bytes;
-        1.0 + self.mem_alpha * ratio.ln().max(0.0)
+        let ratio = size as f64 / POS_MEM_REF_BYTES;
+        1.0 + POS_MEM_ALPHA * ratio.ln().max(0.0)
     }
 }
 
@@ -137,8 +123,8 @@ impl AppCostModel for PosCostModel {
     fn runtime_secs(&self, files: &[FileSpec], env: &ExecEnv) -> f64 {
         let mut cpu = 0.0;
         for f in files {
-            cpu += self.per_file_s
-                + f.size as f64 * self.secs_per_byte * f.complexity * self.mem_penalty(f.size);
+            cpu += POS_PER_FILE_S
+                + f.size as f64 * POS_SECS_PER_BYTE * f.complexity * self.mem_penalty(f.size);
         }
         // Tagging reads each byte once too, but at ~11.5 kB/s of CPU the
         // storage never limits; still modelled for completeness.

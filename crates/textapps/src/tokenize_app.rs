@@ -62,45 +62,28 @@ impl Tokenizer {
         }
         stats
     }
-
-    /// Tokenize a document set in one process.
-    pub fn run_many<'a>(&self, docs: impl IntoIterator<Item = &'a str>) -> TokenStats {
-        let mut total = TokenStats::default();
-        for doc in docs {
-            total.merge(&self.run(doc));
-        }
-        total
-    }
 }
+
+/// CPU tokenization rate at `cpu_factor == 1`, bytes/second.
+const TOKENIZE_CPU_BPS: f64 = 30.0e6;
+
+/// Tokenization per-file fixed cost, seconds.
+const TOKENIZE_PER_FILE_S: f64 = 1.5e-3;
 
 /// Cost model: a single CPU pass at tens of MB/s — fast enough that I/O
 /// matters on slow storage, slow enough that CPU matters on slow
 /// instances. Per-file overhead sits between grep's (open only) and the
 /// tagger's (document setup).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TokenizeCostModel {
-    /// CPU tokenization rate at `cpu_factor == 1`, bytes/second.
-    pub cpu_bps: f64,
-    /// Per-file fixed cost, seconds.
-    pub per_file_s: f64,
-}
-
-impl Default for TokenizeCostModel {
-    fn default() -> Self {
-        TokenizeCostModel {
-            cpu_bps: 30.0e6,
-            per_file_s: 1.5e-3,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct TokenizeCostModel {}
 
 impl AppCostModel for TokenizeCostModel {
     fn runtime_secs(&self, files: &[FileSpec], env: &ExecEnv) -> f64 {
         let bytes: u64 = files.iter().map(|f| f.size).sum();
-        let cpu = bytes as f64 / (self.cpu_bps * env.cpu_factor.max(1e-9));
+        let cpu = bytes as f64 / (TOKENIZE_CPU_BPS * env.cpu_factor.max(1e-9));
         let io = bytes as f64 / env.io_throughput_bps.max(1.0);
         env.startup_s
-            + files.len() as f64 * (self.per_file_s + env.per_file_overhead_s)
+            + files.len() as f64 * (TOKENIZE_PER_FILE_S + env.per_file_overhead_s)
             + cpu.max(io)
     }
 
@@ -121,14 +104,6 @@ mod tests {
         assert_eq!(s.words, 5);
         assert_eq!(s.punct, 2);
         assert_eq!(s.bytes, 25);
-    }
-
-    #[test]
-    fn run_many_merges() {
-        let total = Tokenizer.run_many(["A b.", "C d e."]);
-        assert_eq!(total.documents, 2);
-        assert_eq!(total.sentences, 2);
-        assert_eq!(total.words, 5);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! buys with the flat-rate on-demand plan for the same POS workload.
 
 use ec2sim::InstanceFamily;
-use market::{SpotPath, SPOT_STEP_SECS};
+use market::{SpotPath, RESUME_PENALTY_SECS, SPOT_STEP_SECS};
 use provision::{cost_for_deadline, PricingModel};
 
 fn main() {
@@ -21,10 +21,9 @@ fn main() {
         family.spot_mean_rate
     );
 
-    // Each reclaim loses the planner's default resume penalty (a
-    // replacement boot and a requeue); an instance pays the mean eligible
-    // price for every eligible second, prorated.
-    let resume_penalty_secs = 240.0;
+    // Each reclaim loses the planner's resume penalty (a replacement boot
+    // and a requeue); an instance pays the mean eligible price for every
+    // eligible second, prorated.
     println!(
         "\n{:>8} {:>11} {:>8} {:>12} {:>8} {:>9} {:>7}",
         "bid $/h", "eligible(h)", "reclaims", "effective(h)", "paid $/h", "instances", "cost $"
@@ -32,7 +31,7 @@ fn main() {
     for factor in [0.5, 0.9, 1.0, 1.2, 1.6, 3.0] {
         let bid = factor * family.spot_mean_rate;
         let window = path.window(bid, 0.0, day_secs);
-        let effective = window.eligible_secs - window.reclaims.len() as f64 * resume_penalty_secs;
+        let effective = window.eligible_secs - window.reclaims.len() as f64 * RESUME_PENALTY_SECS;
         println!(
             "{:>8.4} {:>11.1} {:>8} {:>12.1} {:>8.4} {:>9.0} {:>7.3}",
             bid,
